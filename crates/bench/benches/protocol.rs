@@ -9,6 +9,7 @@ use zaatar_bench::harness::BenchGroup;
 use zaatar_core::commit::{decommit, CommitmentKey};
 use zaatar_core::pcp::{PcpParams, ZaatarPcp};
 use zaatar_core::qap::Qap;
+use zaatar_core::workspace::ProverWorkspace;
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::F61;
 
@@ -36,7 +37,7 @@ fn protocol_phases() {
         black_box(art.quad.extend_assignment(&a))
     });
 
-    group.bench("prover_compute_h", || black_box(pcp.qap().compute_h(&witness)));
+    group.bench("prover_compute_h", || black_box(pcp.qap().compute_h(&witness, &mut ProverWorkspace::new()).unwrap()));
 
     let proof = pcp.prove(&witness).unwrap();
     let mut prg = ChaChaPrg::from_u64_seed(2);
@@ -58,11 +59,11 @@ fn protocol_phases() {
     let mut prg = ChaChaPrg::from_u64_seed(4);
     let key = CommitmentKey::<F61>::generate(proof.z.len(), &mut prg);
     group.bench("prover_commit", || {
-        black_box(CommitmentKey::<F61>::commit(&key.enc_r, &proof.z))
+        black_box(CommitmentKey::<F61>::commit(&key.enc_r, &proof.z, &mut ProverWorkspace::new()))
     });
     let zq = queries.z_queries();
     let (t, alphas) = key.consistency_query(&zq, &mut prg);
-    let commitment = CommitmentKey::<F61>::commit(&key.enc_r, &proof.z);
+    let commitment = CommitmentKey::<F61>::commit(&key.enc_r, &proof.z, &mut ProverWorkspace::new());
     let d = decommit(&proof.z, &zq, &t);
     group.bench("verifier_decommit_check", || {
         black_box(key.verify(&commitment, &d.answers, d.t_answer, &alphas))

@@ -98,16 +98,38 @@ use zaatar_cc::{ginger_to_quad, optimize, Builder};
 use zaatar_core::commit::CommitmentKey;
 use zaatar_core::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
 use zaatar_core::qap::{Qap, QapWitness};
-use zaatar_core::runtime::{prove_batch, prove_batch_with, run_session_prover, run_session_verifier};
+use zaatar_core::runtime::{prove_batch_with_policy, run_session_prover, run_session_verifier};
 use zaatar_core::workspace::ProverWorkspace;
 use zaatar_core::{
-    HostProfile, MemBudget, MicroParams, Proving, Scheduler, WorkloadShape,
+    ExecPolicy, HostProfile, MemBudget, MicroParams, Proving, Scheduler, WorkloadShape,
 };
 use zaatar_crypto::ChaChaPrg;
 use zaatar_field::{Field, F61};
 use zaatar_obs::json::{self, Value};
 use zaatar_server::{Admission, ServerConfig, SessionServer};
 use zaatar_transport::{loopback_transport_pair, RetryPolicy};
+
+/// Proves a batch across `workers` threads through the one batch entry
+/// point (one covering chunk, unlimited budget).
+fn prove_on_workers(
+    pcp: &ZaatarPcp<F61, zaatar_poly::Radix2Domain<F61>>,
+    witnesses: &[QapWitness<F61>],
+    workers: usize,
+) -> Vec<Option<ZaatarProof<F61>>> {
+    prove_batch_with_policy(pcp, witnesses, &ExecPolicy::with_workers(workers), MemBudget::unlimited())
+        .expect("an unlimited budget never refuses a lease")
+}
+
+/// Proves one instance on `ws` at the chunk length its policy selects.
+fn prove_on(
+    pcp: &ZaatarPcp<F61, zaatar_poly::Radix2Domain<F61>>,
+    witness: &QapWitness<F61>,
+    ws: &mut ProverWorkspace<F61>,
+) -> ZaatarProof<F61> {
+    pcp.prove_with(witness, ws)
+        .expect("an unbudgeted workspace never refuses a lease")
+        .expect("honest witness")
+}
 
 /// Schema identifier written into (and required from) every baseline.
 const SCHEMA: &str = "zaatar-bench-baseline/v9";
@@ -405,8 +427,8 @@ struct MemSample {
     footprint_bytes: usize,
 }
 
-/// Measures workspace reuse in the staged prover pipeline: for each β,
-/// proves β instances serially through `prove_batch_with` on one fresh
+/// Measures workspace reuse in the prover pipeline: for each β, proves
+/// β instances serially through `prove_with` on one fresh
 /// [`ProverWorkspace`] and reads the `mem.scratch.{hit,miss}` counter
 /// deltas around the run. At β = 1 every take is a cold miss; at β = 16
 /// instances 2..16 are served from the pool, so the hit rate must be
@@ -425,10 +447,11 @@ fn bench_mem_reuse(
             let miss0 = zaatar_obs::counter("mem.scratch.miss").get();
             let mut ws = ProverWorkspace::new();
             let start = Instant::now();
-            let proofs = prove_batch_with(pcp, &batch, &mut ws);
+            for w in &batch {
+                prove_on(pcp, w, &mut ws);
+            }
             let prove_ns_per_instance =
                 (start.elapsed().as_nanos() as u64 / beta as u64).max(1);
-            assert!(proofs.iter().all(Option::is_some), "honest witnesses");
             let scratch_hit = zaatar_obs::counter("mem.scratch.hit").get() - hit0;
             let scratch_miss = zaatar_obs::counter("mem.scratch.miss").get() - miss0;
             MemSample {
@@ -444,8 +467,9 @@ fn bench_mem_reuse(
         .collect()
 }
 
-/// One row of the `stream` section: monolithic vs streaming peak
-/// workspace residency for one circuit size.
+/// One row of the `stream` section: one-chunk (`monolithic_*`) vs
+/// chunked (`streaming_*`) peak workspace residency for one circuit
+/// size.
 struct StreamSample {
     chain: usize,
     domain: usize,
@@ -457,14 +481,14 @@ struct StreamSample {
     identical: bool,
 }
 
-/// Measures the streaming pipeline's residency win: for each circuit
-/// size, one monolithic `prove_with` and one chunked `prove_streamed`
-/// on fresh workspaces, recording each workspace's own
-/// `high_water_bytes` peak and whether the proofs came out
-/// byte-identical. When `ZAATAR_MEM_BUDGET` is set it is applied to
-/// the streaming workspace as a hard cap — a lease the budget refuses
-/// aborts the baseline run loudly rather than recording a number that
-/// silently overshot the operator's ceiling.
+/// Measures the chunked geometry's residency win: for each circuit
+/// size, one `prove_with` at one covering chunk ([`Proving::Monolithic`])
+/// and one at `domain / 8` elements per chunk, on fresh workspaces,
+/// recording each workspace's own `high_water_bytes` peak and whether
+/// the proofs came out byte-identical. When `ZAATAR_MEM_BUDGET` is set
+/// it is applied to the chunked workspace as a hard cap — a lease the
+/// budget refuses aborts the baseline run loudly rather than recording
+/// a number that silently overshot the operator's ceiling.
 fn bench_stream(smoke: bool) -> Vec<StreamSample> {
     let chains: [usize; 2] = if smoke { [8, 64] } else { [160, 640] };
     let budget = MemBudget::from_env();
@@ -476,14 +500,13 @@ fn bench_stream(smoke: bool) -> Vec<StreamSample> {
             let chunk_len = (domain / 8).max(16);
             let mut mono = ProverWorkspace::new();
             let start = Instant::now();
-            let mono_proof = pcp
-                .prove_with(&witnesses[0], &mut mono)
-                .expect("honest witness");
+            let mono_proof = prove_on(&pcp, &witnesses[0], &mut mono);
             let monolithic_prove_ns = start.elapsed().as_nanos() as u64;
-            let mut sws = ProverWorkspace::with_budget(budget);
+            let mut sws =
+                ProverWorkspace::with_budget(budget).with_policy(ExecPolicy::streamed(chunk_len));
             let start = Instant::now();
             let stream_proof = pcp
-                .prove_streamed(&witnesses[0], chunk_len, &mut sws)
+                .prove_with(&witnesses[0], &mut sws)
                 .unwrap_or_else(|e| {
                     panic!("ZAATAR_MEM_BUDGET refused a streaming lease at chain {chain}: {e}")
                 })
@@ -510,9 +533,9 @@ struct SchedSweepRow {
     ns: u64,
 }
 
-/// One monolithic-vs-streaming decision record: what the scheduler
-/// chose for this circuit size under an unlimited budget, next to the
-/// measured time of both paths.
+/// One chunk-geometry decision record: what the scheduler chose for
+/// this circuit size under an unlimited budget (one covering chunk or a
+/// derived chunk length), next to the measured time of both geometries.
 struct SchedDecision {
     chain: usize,
     domain: usize,
@@ -560,7 +583,7 @@ const SCHED_DECISION_NOISE_BAND: f64 = 0.20;
 
 /// Measures the scheduler's two live decisions against ground truth.
 ///
-/// Worker sweep: `prove_batch` wall clock (min of 3, after a warmup) at
+/// Worker sweep: `prove_batch_with_policy` wall clock (min of 3, after a warmup) at
 /// each swept worker count on the main workload, beside the count the
 /// [`Scheduler`] picks for the same shape. The chosen count's time is
 /// taken from its sweep row when present so "chosen vs best" compares
@@ -586,10 +609,10 @@ fn bench_sched(
     };
 
     let time_batch = |workers: usize| -> u64 {
-        let _warmup = prove_batch(pcp, witnesses, workers);
+        let _warmup = prove_on_workers(pcp, witnesses, workers);
         min_of(SCHED_SWEEP_REPS, &mut || {
             let start = Instant::now();
-            let out = prove_batch(pcp, witnesses, workers);
+            let out = prove_on_workers(pcp, witnesses, workers);
             let ns = start.elapsed().as_nanos() as u64;
             assert!(out.iter().all(Option::is_some), "honest witnesses");
             ns.max(1)
@@ -637,25 +660,21 @@ fn bench_sched(
                 // scheduler *would* use if it had streamed.
                 Proving::Monolithic => (false, scheduler.chunk_len(shape, MemBudget::unlimited())),
             };
-            // Warm both code paths (plan caches, scratch pools) before
-            // any timed run, so neither pipeline pays cold costs.
-            let mut ws = ProverWorkspace::new();
-            pcp.prove_with(witness, &mut ws).expect("honest witness");
-            pcp.prove_streamed(witness, chunk_len, &mut ws)
-                .expect("unlimited budget")
-                .expect("honest witness");
+            // Warm both geometries (plan caches, scratch pools) before
+            // any timed run, so neither pays cold costs.
+            let chunked = ExecPolicy::streamed(chunk_len);
+            prove_on(&pcp, witness, &mut ProverWorkspace::new());
+            prove_on(&pcp, witness, &mut ProverWorkspace::new().with_policy(chunked));
             let monolithic_ns = min_of(SCHED_DECISION_REPS, &mut || {
                 let mut ws = ProverWorkspace::new();
                 let start = Instant::now();
-                pcp.prove_with(witness, &mut ws).expect("honest witness");
+                prove_on(&pcp, witness, &mut ws);
                 start.elapsed().as_nanos() as u64
             });
             let streaming_ns = min_of(SCHED_DECISION_REPS, &mut || {
-                let mut ws = ProverWorkspace::new();
+                let mut ws = ProverWorkspace::new().with_policy(chunked);
                 let start = Instant::now();
-                pcp.prove_streamed(witness, chunk_len, &mut ws)
-                    .expect("unlimited budget")
-                    .expect("honest witness");
+                prove_on(&pcp, witness, &mut ws);
                 start.elapsed().as_nanos() as u64
             });
             SchedDecision {
@@ -813,11 +832,11 @@ fn run_baseline(smoke: bool) -> String {
     // Serial vs parallel batch proving, timed directly (wall clock) so
     // the comparison is independent of the phase timers it populates.
     let start = Instant::now();
-    let serial = prove_batch(&pcp, &witnesses, 1);
+    let serial = prove_on_workers(&pcp, &witnesses, 1);
     let serial_ns = start.elapsed().as_nanos() as u64;
     assert!(serial.iter().all(Option::is_some), "honest witnesses");
     let start = Instant::now();
-    let parallel = prove_batch(&pcp, &witnesses, workers);
+    let parallel = prove_on_workers(&pcp, &witnesses, workers);
     let parallel_ns = start.elapsed().as_nanos() as u64;
     assert!(parallel.iter().all(Option::is_some), "honest witnesses");
     let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;

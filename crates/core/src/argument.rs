@@ -241,6 +241,7 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> Prover<'p, F, D> {
         let proof = self
             .pcp
             .prove_with(witness, &mut self.workspace)
+            .expect("an unlimited workspace never refuses a lease")
             .expect("witness must satisfy the constraints");
         self.timings.construct_proof += start.elapsed();
         proof
@@ -255,8 +256,8 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> Prover<'p, F, D> {
         enc_r_h: &[Ciphertext],
     ) -> (Ciphertext, Ciphertext) {
         let start = Instant::now();
-        let cz = CommitmentKey::<F>::commit_with(enc_r_z, &proof.z, &mut self.workspace);
-        let ch = CommitmentKey::<F>::commit_with(enc_r_h, &proof.h, &mut self.workspace);
+        let cz = CommitmentKey::<F>::commit(enc_r_z, &proof.z, &mut self.workspace);
+        let ch = CommitmentKey::<F>::commit(enc_r_h, &proof.h, &mut self.workspace);
         self.timings.crypto += start.elapsed();
         (cz, ch)
     }
@@ -368,8 +369,8 @@ pub fn run_batched_ginger_argument<F: HasGroup + PrimeField>(
         .iter()
         .map(|p| {
             (
-                CommitmentKey::<F>::commit_with(&key1.enc_r, &p.z, &mut ws),
-                CommitmentKey::<F>::commit_with(&key2.enc_r, &p.zz, &mut ws),
+                CommitmentKey::<F>::commit(&key1.enc_r, &p.z, &mut ws),
+                CommitmentKey::<F>::commit(&key2.enc_r, &p.zz, &mut ws),
             )
         })
         .collect();

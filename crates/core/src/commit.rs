@@ -51,41 +51,25 @@ impl<F: HasGroup> CommitmentKey<F> {
         self.r.is_empty()
     }
 
-    /// **Prover side**: computes the commitment `Enc(π(r)) = ∏ Enc(rᵢ)^(uᵢ)`
-    /// for proof vector `u` (the prover sees only `enc_r`) via the
-    /// Pippenger bucket MSM. A zero-length oracle commits to the
-    /// identity ciphertext `Enc(0)` — pinned behavior, not a panic.
-    pub fn commit(enc_r: &[Ciphertext], u: &[F]) -> Ciphertext {
-        let _span = zaatar_obs::time("commit.commit");
-        ElGamal::<F>::inner_product(enc_r, u)
-    }
-
-    /// [`Self::commit`] leasing the MSM bucket accumulators from a
-    /// [`crate::ProverWorkspace`], so a worker committing to a whole
-    /// batch allocates bucket storage once. Result is identical to
-    /// [`Self::commit`] (the pool only recycles capacity).
-    pub fn commit_with(
+    /// **Prover side** — the pipeline's **Commit** stage: computes the
+    /// commitment `Enc(π(r)) = ∏ Enc(rᵢ)^(uᵢ)` for proof vector `u` (the
+    /// prover sees only `enc_r`) via the Pippenger bucket MSM, with
+    /// bucket accumulators leased from the workspace's group pool. The
+    /// MSM consumes `u` at the chunk length the workspace's stamped
+    /// policy selects ([`crate::ProverWorkspace::chunk_len`]; one
+    /// covering chunk by default): each chunk runs its own bucket pass
+    /// and the partial residues fold in the group, so peak bucket
+    /// storage tracks the chunk. The group fold is exact, so the
+    /// ciphertext is identical for every chunk length. A zero-length
+    /// oracle commits to the identity ciphertext `Enc(0)` — pinned
+    /// behavior, not a panic.
+    pub fn commit(
         enc_r: &[Ciphertext],
         u: &[F],
         ws: &mut crate::ProverWorkspace<F>,
     ) -> Ciphertext {
         let _span = zaatar_obs::time("commit.commit");
-        ElGamal::<F>::inner_product_scratch(enc_r, u, ws.group_scratch())
-    }
-
-    /// [`Self::commit_with`] feeding the MSM `chunk_len` scalars at a
-    /// time: each chunk runs its own bucket pass sized to the chunk and
-    /// the partial residues fold in the group, so peak bucket storage
-    /// tracks the chunk, not the oracle length. The group fold is exact
-    /// (a product of partial products is the one-shot product), so the
-    /// ciphertext is identical to [`Self::commit`].
-    pub fn commit_chunked(
-        enc_r: &[Ciphertext],
-        u: &[F],
-        chunk_len: usize,
-        ws: &mut crate::ProverWorkspace<F>,
-    ) -> Ciphertext {
-        let _span = zaatar_obs::time("commit.commit");
+        let chunk_len = ws.chunk_len(u.len());
         ElGamal::<F>::inner_product_chunked(enc_r, u, chunk_len, ws.group_scratch())
     }
 
@@ -194,6 +178,11 @@ mod tests {
     use super::*;
     use zaatar_field::{Field, F61};
 
+    /// The Commit stage over a throwaway one-chunk workspace.
+    fn commit(enc_r: &[Ciphertext], u: &[F61]) -> Ciphertext {
+        CommitmentKey::commit(enc_r, u, &mut crate::ProverWorkspace::new())
+    }
+
     fn setup(n: usize, nq: usize, seed: u64) -> (CommitmentKey<F61>, Vec<F61>, Vec<Vec<F61>>, ChaChaPrg) {
         let mut prg = ChaChaPrg::from_u64_seed(seed);
         let key = CommitmentKey::<F61>::generate(n, &mut prg);
@@ -205,7 +194,7 @@ mod tests {
     #[test]
     fn honest_decommit_verifies() {
         let (key, u, queries, mut prg) = setup(8, 5, 1);
-        let commitment = CommitmentKey::commit(&key.enc_r, &u);
+        let commitment = commit(&key.enc_r, &u);
         let qrefs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
         let (t, alphas) = key.consistency_query(&qrefs, &mut prg);
         let d = decommit(&u, &qrefs, &t);
@@ -215,7 +204,7 @@ mod tests {
     #[test]
     fn lying_about_one_answer_fails() {
         let (key, u, queries, mut prg) = setup(8, 5, 2);
-        let commitment = CommitmentKey::commit(&key.enc_r, &u);
+        let commitment = commit(&key.enc_r, &u);
         let qrefs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
         let (t, alphas) = key.consistency_query(&qrefs, &mut prg);
         let mut d = decommit(&u, &qrefs, &t);
@@ -227,7 +216,7 @@ mod tests {
     fn answering_with_different_function_fails() {
         // Commit with u, answer with u'.
         let (key, u, queries, mut prg) = setup(6, 4, 3);
-        let commitment = CommitmentKey::commit(&key.enc_r, &u);
+        let commitment = commit(&key.enc_r, &u);
         let mut u2 = u.clone();
         u2[0] += F61::ONE;
         let qrefs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
@@ -239,7 +228,7 @@ mod tests {
     #[test]
     fn tampered_t_answer_fails() {
         let (key, u, queries, mut prg) = setup(6, 4, 4);
-        let commitment = CommitmentKey::commit(&key.enc_r, &u);
+        let commitment = commit(&key.enc_r, &u);
         let qrefs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
         let (t, alphas) = key.consistency_query(&qrefs, &mut prg);
         let mut d = decommit(&u, &qrefs, &t);
@@ -251,7 +240,7 @@ mod tests {
     fn zero_vector_commits() {
         let (key, _, queries, mut prg) = setup(5, 3, 5);
         let u = vec![F61::ZERO; 5];
-        let commitment = CommitmentKey::commit(&key.enc_r, &u);
+        let commitment = commit(&key.enc_r, &u);
         let qrefs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
         let (t, alphas) = key.consistency_query(&qrefs, &mut prg);
         let d = decommit(&u, &qrefs, &t);
@@ -262,7 +251,7 @@ mod tests {
     #[test]
     fn packed_decommit_matches_serial_and_verifies() {
         let (key, u, queries, mut prg) = setup(9, 6, 7);
-        let commitment = CommitmentKey::commit(&key.enc_r, &u);
+        let commitment = commit(&key.enc_r, &u);
         let qrefs: Vec<&[F61]> = queries.iter().map(|q| q.as_slice()).collect();
         let (t, alphas) = key.consistency_query(&qrefs, &mut prg);
         let matrix = QueryMatrix::pack(&qrefs);
@@ -283,7 +272,7 @@ mod tests {
         let (key, _, _, mut prg) = setup(0, 0, 8);
         assert!(key.is_empty());
         let u: Vec<F61> = Vec::new();
-        let commitment = CommitmentKey::commit(&key.enc_r, &u);
+        let commitment = commit(&key.enc_r, &u);
         assert_eq!(commitment, zaatar_crypto::ElGamal::<F61>::zero());
         let (t, alphas) = key.consistency_query(&[], &mut prg);
         let d = decommit(&u, &[], &t);
@@ -291,15 +280,19 @@ mod tests {
     }
 
     #[test]
-    fn commit_with_workspace_matches_fresh() {
+    fn commit_identical_across_workspace_reuse_and_chunk_lengths() {
         let (key, u, _, _) = setup(9, 0, 9);
-        let mut ws: crate::ProverWorkspace<F61> = crate::ProverWorkspace::new();
-        let fresh = CommitmentKey::commit(&key.enc_r, &u);
-        // Run twice so the second pass reuses a (dirty) pooled bucket
-        // buffer.
-        for round in 0..2 {
-            let pooled = CommitmentKey::commit_with(&key.enc_r, &u, &mut ws);
-            assert_eq!(pooled, fresh, "round={round}");
+        let fresh = commit(&key.enc_r, &u);
+        assert_eq!(fresh, zaatar_crypto::ElGamal::<F61>::inner_product(&key.enc_r, &u));
+        // Run twice per geometry so later passes reuse a (dirty) pooled
+        // bucket buffer.
+        for chunk_len in [1usize, 4, 9, 64] {
+            let mut ws: crate::ProverWorkspace<F61> = crate::ProverWorkspace::new()
+                .with_policy(zaatar_sched::ExecPolicy::streamed(chunk_len));
+            for round in 0..2 {
+                let pooled = CommitmentKey::commit(&key.enc_r, &u, &mut ws);
+                assert_eq!(pooled, fresh, "chunk_len={chunk_len} round={round}");
+            }
         }
     }
 
@@ -312,7 +305,7 @@ mod tests {
         for seed in 0..3u64 {
             let mut p2 = ChaChaPrg::from_u64_seed(100 + seed);
             let u: Vec<F61> = p2.field_vec(7);
-            let commitment = CommitmentKey::commit(&key.enc_r, &u);
+            let commitment = commit(&key.enc_r, &u);
             let d = decommit(&u, &qrefs, &t);
             assert!(key.verify(&commitment, &d.answers, d.t_answer, &alphas));
         }

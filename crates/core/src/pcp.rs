@@ -262,51 +262,31 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
         self.params
     }
 
-    /// Builds a correct proof from a satisfying witness. Returns `None`
+    /// Builds a correct proof from a satisfying witness over a throwaway
+    /// workspace (one covering chunk, unlimited budget). Returns `None`
     /// if the witness does not satisfy the constraints.
     pub fn prove(&self, witness: &QapWitness<F>) -> Option<ZaatarProof<F>> {
         self.prove_with(witness, &mut ProverWorkspace::new())
+            .expect("an unlimited workspace never refuses a lease")
     }
 
-    /// [`ZaatarPcp::prove`] over a caller-owned workspace: the Witness
-    /// and Quotient pipeline stages lease their transform and
-    /// accumulator buffers from `ws` instead of allocating, so a batch
-    /// loop (or a `parallel_map_with` worker) reuses one set of buffers
-    /// across every instance. Field arithmetic is exact, so the proof is
-    /// bit-identical to the allocating path.
+    /// The prover pipeline's proving stages over a caller-owned
+    /// workspace: [`Qap::compute_h`] builds the quotient at the chunk
+    /// length the workspace's stamped policy selects, leasing every
+    /// buffer from `ws`, so a batch loop (or a `parallel_map_with`
+    /// worker) reuses one set of buffers across every instance. The
+    /// proof is byte-identical for every chunk length and budget.
+    ///
+    /// `Ok(None)` is a non-satisfying witness; `Err` is a lease the
+    /// workspace budget refused (all partial leases returned first).
     pub fn prove_with(
         &self,
         witness: &QapWitness<F>,
         ws: &mut ProverWorkspace<F>,
-    ) -> Option<ZaatarProof<F>> {
-        let _span = zaatar_obs::time("pcp.prove");
-        zaatar_obs::counter("pcp.prove.calls").inc();
-        let h = self.qap.compute_h_with(witness, ws)?;
-        Some(ZaatarProof {
-            z: witness.z.clone(),
-            h,
-        })
-    }
-
-    /// [`ZaatarPcp::prove_with`] through the streaming pipeline: the
-    /// Witness stage accumulates into chunked buffers of `chunk_len`
-    /// field elements and the Quotient stage drains them chunk-at-a-time
-    /// into the transform buffer, so peak residency stays bounded by the
-    /// workspace budget instead of the full `3n` staged vectors. Every
-    /// lease is a hard `try_take`; the first one the budget refuses
-    /// surfaces as `Err(BudgetError)` with all partial leases returned
-    /// to the pool. Field arithmetic is exact and the streaming stages
-    /// replay the monolithic per-slot operation order, so a produced
-    /// proof is byte-identical to [`ZaatarPcp::prove_with`].
-    pub fn prove_streamed(
-        &self,
-        witness: &QapWitness<F>,
-        chunk_len: usize,
-        ws: &mut ProverWorkspace<F>,
     ) -> Result<Option<ZaatarProof<F>>, zaatar_mem::BudgetError> {
         let _span = zaatar_obs::time("pcp.prove");
         zaatar_obs::counter("pcp.prove.calls").inc();
-        let Some(h) = self.qap.compute_h_streamed(witness, chunk_len, ws)? else {
+        let Some(h) = self.qap.compute_h(witness, ws)? else {
             return Ok(None);
         };
         Ok(Some(ZaatarProof {
@@ -416,13 +396,19 @@ impl<F: PrimeField, D: EvalDomain<F>> ZaatarPcp<F, D> {
     }
 
     /// The verifier's decision procedure (Fig. 10) for one instance with
-    /// bound io values `io` (inputs then outputs, in QAP order).
+    /// bound io values `io` (inputs then outputs, in QAP order). A claim
+    /// whose io length differs from the circuit's input + output count
+    /// is rejected outright: the bound terms pair each io value with one
+    /// io row, so extra or missing entries would otherwise be ignored or
+    /// read as zero.
     pub fn check(&self, queries: &QuerySet<F>, responses: &PcpResponses<F>, io: &[F]) -> bool {
         let _span = zaatar_obs::time("pcp.check");
         let rho_lin = self.params.rho_lin;
         let per_rep_z = 3 * rho_lin + 3;
         let per_rep_h = 3 * rho_lin + 1;
-        if responses.z_answers.len() != queries.reps.len() * per_rep_z
+        let vars = self.qap.var_map();
+        if io.len() != vars.inputs().len() + vars.outputs().len()
+            || responses.z_answers.len() != queries.reps.len() * per_rep_z
             || responses.h_answers.len() != queries.reps.len() * per_rep_h
         {
             return false;

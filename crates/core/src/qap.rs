@@ -106,28 +106,6 @@ impl<F: PrimeField> QapWitness<F> {
     }
 }
 
-/// Output of the prover pipeline's Witness stage
-/// ([`Qap::witness_stage`]): the per-constraint values of `A`, `B`, `C`
-/// for one instance, held in workspace-leased buffers. Consume it with
-/// [`Qap::quotient_stage`], which recycles the buffers into the same
-/// workspace.
-pub struct StagedWitness<F> {
-    a_vals: Vec<F>,
-    b_vals: Vec<F>,
-    c_vals: Vec<F>,
-}
-
-/// Output of the *streaming* Witness stage
-/// ([`Qap::witness_stage_streamed`]): the same per-constraint values as
-/// [`StagedWitness`], materialized as pool-leased chunks so the quotient
-/// kernel can return each chunk the moment it is absorbed. Consume with
-/// [`Qap::quotient_stage_streamed`].
-pub struct StagedWitnessChunked<F> {
-    a_vals: ChunkedVec<F>,
-    b_vals: ChunkedVec<F>,
-    c_vals: ChunkedVec<F>,
-}
-
 /// The `{Aᵢ(τ)}` evaluations the verifier needs for query construction
 /// (App. A.3), split into the unbound part (the queries `q_a`, `q_b`,
 /// `q_c`) and the bound part (folded into the check's `Σ wᵢ·Aᵢ(τ)` terms).
@@ -284,125 +262,44 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
         QapWitness { z, io }
     }
 
-    /// Per-constraint inner products `Σᵢ wᵢ·mᵢⱼ` for a full `w`, into a
-    /// buffer leased from `ws` (including padding zeros beyond the real
-    /// constraints).
-    fn combine_rows_into(
-        &self,
-        rows: &[SparsePoly<F>],
-        w: &[F],
-        ws: &mut ProverWorkspace<F>,
-    ) -> Vec<F> {
-        let mut acc = ws.scratch().take(self.domain.size(), F::ZERO);
-        for (row, wi) in rows.iter().zip(w.iter()) {
-            row.accumulate_into(*wi, &mut acc);
-        }
-        acc
-    }
-
-    /// Pipeline stage 1 — **Witness**: assembles the full `w` vector and
-    /// combines the sparse rows into the per-constraint values of `A`,
-    /// `B`, `C`, all in buffers leased from the workspace. The output is
-    /// consumed (and its buffers recycled) by [`Qap::quotient_stage`].
-    pub fn witness_stage(
-        &self,
-        witness: &QapWitness<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> StagedWitness<F> {
-        let z_len = witness.z.len();
-        let mut w = ws.scratch().take(1 + z_len + witness.io.len(), F::ZERO);
-        w[0] = F::ONE;
-        w[1..=z_len].clone_from_slice(&witness.z);
-        w[1 + z_len..].clone_from_slice(&witness.io);
-        let a_vals = self.combine_rows_into(&self.a_rows, &w, ws);
-        let b_vals = self.combine_rows_into(&self.b_rows, &w, ws);
-        let c_vals = self.combine_rows_into(&self.c_rows, &w, ws);
-        ws.scratch().put(w);
-        StagedWitness {
-            a_vals,
-            b_vals,
-            c_vals,
-        }
-    }
-
-    /// Pipeline stage 2 — **Quotient**: hands the staged per-constraint
-    /// values to the domain's quotient kernel
-    /// ([`EvalDomain::quotient_zero_pinned_scratch`], coset transforms
-    /// over workspace buffers on the NTT fast path) and returns the
-    /// staged buffers to the pool. `None` means the divisibility gate
-    /// failed — `w` is not a satisfying assignment.
-    pub fn quotient_stage(
-        &self,
-        staged: StagedWitness<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Option<Vec<F>> {
-        let h = self.domain.quotient_zero_pinned_scratch(
-            &staged.a_vals,
-            &staged.b_vals,
-            &staged.c_vals,
-            ws.scratch(),
-        );
-        ws.scratch().put(staged.c_vals);
-        ws.scratch().put(staged.b_vals);
-        ws.scratch().put(staged.a_vals);
-        debug_assert!(
-            h.as_ref().is_none_or(|h| h.len() == self.degree() + 1),
-            "quotient kernel must return degree()+1 coefficients"
-        );
-        h
-    }
-
-    /// The prover's quotient computation (App. A.3) — the Witness and
-    /// Quotient stages back to back over a caller-owned workspace, so a
-    /// batch loop reuses one set of buffers across every instance.
+    /// The prover's quotient computation (App. A.3), as the pipeline's
+    /// two proving stages over a caller-owned workspace:
     ///
-    /// Returns the coefficients of `H(t)` (length `degree() + 1`), or
-    /// `None` if `D(t)` does not divide `P_w(t)` — i.e. `w` is not a
-    /// satisfying assignment.
-    pub fn compute_h_with(
+    /// 1. **Witness** walks the constraint rows variable by variable
+    ///    without materializing the full `w` vector (each `wᵢ` is read
+    ///    straight out of the witness: the constant 1, then `z`, then
+    ///    `io`), accumulating the per-constraint values of `A`, `B`, `C`
+    ///    into chunked buffers leased from `ws`;
+    /// 2. **Quotient** hands those chunks to the domain's streaming
+    ///    kernel ([`EvalDomain::quotient_zero_pinned_streamed`]), which
+    ///    returns each chunk to the pool as it is absorbed.
+    ///
+    /// The chunk length comes from the workspace's stamped policy
+    /// ([`ProverWorkspace::chunk_len`]: one covering chunk under
+    /// [`zaatar_sched::Proving::Monolithic`]) and every lease is a hard
+    /// `try_take`. Field arithmetic is exact and the per-slot operation
+    /// order is fixed, so the coefficients are identical for every
+    /// chunk length.
+    ///
+    /// Returns the coefficients of `H(t)` (length `degree() + 1`),
+    /// `Ok(None)` if `D(t)` does not divide `P_w(t)` — i.e. `w` is not a
+    /// satisfying assignment — or `Err` when the workspace budget
+    /// refuses a lease, with every partial lease returned to the pool.
+    pub fn compute_h(
         &self,
         witness: &QapWitness<F>,
         ws: &mut ProverWorkspace<F>,
-    ) -> Option<Vec<F>> {
+    ) -> Result<Option<Vec<F>>, BudgetError> {
         let _span = zaatar_obs::time("qap.compute_h");
-        let staged = self.witness_stage(witness, ws);
-        self.quotient_stage(staged, ws)
-    }
-
-    /// [`Qap::compute_h_with`] over a throwaway workspace — the
-    /// single-instance convenience path. Exact field arithmetic makes
-    /// the output identical either way.
-    pub fn compute_h(&self, witness: &QapWitness<F>) -> Option<Vec<F>> {
-        self.compute_h_with(witness, &mut ProverWorkspace::new())
-    }
-
-    /// Streaming stage 1 — **Witness**, chunked: walks the constraint
-    /// rows variable-by-variable *without materializing the full `w`
-    /// vector* (each `wᵢ` is read straight out of the witness: the
-    /// constant 1, then `z`, then `io`), accumulating into chunked
-    /// `A`/`B`/`C` value vectors leased `chunk_len` elements at a time.
-    /// The per-slot accumulation order is identical to
-    /// [`Qap::witness_stage`] (same rows, same entry order, same
-    /// skip-zero-scale rule), so the values are bit-identical; what
-    /// changes is residency — the `1 + n' + |io|` element `w` buffer is
-    /// never allocated, and a budget-limited workspace gets a typed
-    /// rejection instead of an OOM.
-    pub fn witness_stage_streamed(
-        &self,
-        witness: &QapWitness<F>,
-        chunk_len: usize,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<StagedWitnessChunked<F>, BudgetError> {
-        let n = self.domain.size();
-        let a_vals = ChunkedVec::try_take(ws.scratch(), n, chunk_len, F::ZERO)?;
-        let b_vals = match ChunkedVec::try_take(ws.scratch(), n, chunk_len, F::ZERO) {
+        let a_vals = self.combine(&self.a_rows, witness, ws)?;
+        let b_vals = match self.combine(&self.b_rows, witness, ws) {
             Ok(v) => v,
             Err(e) => {
                 a_vals.release(ws.scratch());
                 return Err(e);
             }
         };
-        let c_vals = match ChunkedVec::try_take(ws.scratch(), n, chunk_len, F::ZERO) {
+        let c_vals = match self.combine(&self.c_rows, witness, ws) {
             Ok(v) => v,
             Err(e) => {
                 b_vals.release(ws.scratch());
@@ -410,49 +307,9 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
                 return Err(e);
             }
         };
-        let mut staged = StagedWitnessChunked {
-            a_vals,
-            b_vals,
-            c_vals,
-        };
-        let w_iter = || {
-            core::iter::once(F::ONE)
-                .chain(witness.z.iter().copied())
-                .chain(witness.io.iter().copied())
-        };
-        let combine = |rows: &[SparsePoly<F>], acc: &mut ChunkedVec<F>| {
-            for (row, wi) in rows.iter().zip(w_iter()) {
-                // Mirror SparsePoly::accumulate_into exactly.
-                if wi.is_zero() {
-                    continue;
-                }
-                for (j, v) in row.entries() {
-                    *acc.get_mut(*j) += wi * *v;
-                }
-            }
-        };
-        combine(&self.a_rows, &mut staged.a_vals);
-        combine(&self.b_rows, &mut staged.b_vals);
-        combine(&self.c_rows, &mut staged.c_vals);
-        Ok(staged)
-    }
-
-    /// Streaming stage 2 — **Quotient**: hands the chunked values to the
-    /// domain's streaming kernel
-    /// ([`EvalDomain::quotient_zero_pinned_streamed`]), which returns
-    /// each chunk to the pool as it is absorbed. `Ok(None)` means the
-    /// divisibility gate failed, exactly as [`Qap::quotient_stage`].
-    pub fn quotient_stage_streamed(
-        &self,
-        staged: StagedWitnessChunked<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Option<Vec<F>>, BudgetError> {
-        let h = self.domain.quotient_zero_pinned_streamed(
-            staged.a_vals,
-            staged.b_vals,
-            staged.c_vals,
-            ws.scratch(),
-        )?;
+        let h = self
+            .domain
+            .quotient_zero_pinned_streamed(a_vals, b_vals, c_vals, ws.scratch())?;
         debug_assert!(
             h.as_ref().is_none_or(|h| h.len() == self.degree() + 1),
             "quotient kernel must return degree()+1 coefficients"
@@ -460,41 +317,31 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
         Ok(h)
     }
 
-    /// The streaming prover's quotient computation: both streaming
-    /// stages back to back under a (possibly budget-capped) workspace.
-    /// Coefficients are bit-identical to [`Qap::compute_h_with`]; peak
-    /// workspace residency is bounded by two coset buffers plus one
-    /// chunk instead of the monolithic path's full complement.
-    pub fn compute_h_streamed(
+    /// The Witness stage for one of `A`, `B`, `C`: the per-constraint
+    /// values `Σᵢ wᵢ·mᵢⱼ` of `rows`, accumulated into chunks leased from
+    /// `ws` at its policy's chunk length.
+    fn combine(
         &self,
-        witness: &QapWitness<F>,
-        chunk_len: usize,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Option<Vec<F>>, BudgetError> {
-        let _span = zaatar_obs::time("qap.compute_h");
-        let staged = self.witness_stage_streamed(witness, chunk_len, ws)?;
-        self.quotient_stage_streamed(staged, ws)
-    }
-
-    /// The quotient computation through whichever pipeline the
-    /// workspace's stamped [`zaatar_sched::ExecPolicy`] selects:
-    /// [`zaatar_sched::Proving::Monolithic`] runs
-    /// [`Qap::compute_h_with`] (the `Err` path is then unreachable),
-    /// [`zaatar_sched::Proving::Streamed`] runs
-    /// [`Qap::compute_h_streamed`] at the policy's chunk length.
-    /// Coefficients are bit-identical either way; `Ok(None)` means the
-    /// witness does not satisfy the QAP.
-    pub fn compute_h_policied(
-        &self,
+        rows: &[SparsePoly<F>],
         witness: &QapWitness<F>,
         ws: &mut ProverWorkspace<F>,
-    ) -> Result<Option<Vec<F>>, BudgetError> {
-        match ws.policy().proving {
-            zaatar_sched::Proving::Monolithic => Ok(self.compute_h_with(witness, ws)),
-            zaatar_sched::Proving::Streamed { chunk_len } => {
-                self.compute_h_streamed(witness, chunk_len, ws)
+    ) -> Result<ChunkedVec<F>, BudgetError> {
+        let n = self.domain.size();
+        let chunk_len = ws.chunk_len(n);
+        let mut acc = ChunkedVec::try_take(ws.scratch(), n, chunk_len, F::ZERO)?;
+        let w = core::iter::once(F::ONE)
+            .chain(witness.z.iter().copied())
+            .chain(witness.io.iter().copied());
+        for (row, wi) in rows.iter().zip(w) {
+            // Mirror SparsePoly::accumulate_into exactly.
+            if wi.is_zero() {
+                continue;
+            }
+            for (j, v) in row.entries() {
+                *acc.get_mut(*j) += wi * *v;
             }
         }
+        Ok(acc)
     }
 
     /// Like [`Qap::compute_h`] but returns the (useless) quotient even
@@ -505,11 +352,16 @@ impl<F: PrimeField, D: EvalDomain<F>> Qap<F, D> {
     /// this path's truncated Euclidean quotient is stable across kernel
     /// rewrites.
     pub fn compute_h_unchecked(&self, witness: &QapWitness<F>) -> Vec<F> {
-        let mut ws = ProverWorkspace::new();
         let w = witness.full();
-        let a_vals = self.combine_rows_into(&self.a_rows, &w, &mut ws);
-        let b_vals = self.combine_rows_into(&self.b_rows, &w, &mut ws);
-        let c_vals = self.combine_rows_into(&self.c_rows, &w, &mut ws);
+        let combine = |rows: &[SparsePoly<F>]| {
+            let mut acc = vec![F::ZERO; self.domain.size()];
+            for (row, wi) in rows.iter().zip(w.iter()) {
+                row.accumulate_into(*wi, &mut acc);
+            }
+            acc
+        };
+        let (a_vals, b_vals, c_vals) =
+            (combine(&self.a_rows), combine(&self.b_rows), combine(&self.c_rows));
         let a_poly = self.domain.interpolate_zero_pinned(&a_vals);
         let b_poly = self.domain.interpolate_zero_pinned(&b_vals);
         let c_poly = self.domain.interpolate_zero_pinned(&c_vals);
@@ -603,7 +455,7 @@ mod tests {
         for asg in &asgs {
             assert!(sys.is_satisfied(asg));
             let w = qap.witness(asg);
-            assert!(qap.compute_h(&w).is_some());
+            assert!(qap.compute_h(&w, &mut ProverWorkspace::new()).unwrap().is_some());
         }
     }
 
@@ -613,7 +465,7 @@ mod tests {
         let qap = Qap::new(&sys);
         let mut w = qap.witness(&asgs[0]);
         w.z[0] += F61::ONE;
-        assert!(qap.compute_h(&w).is_none());
+        assert!(qap.compute_h(&w, &mut ProverWorkspace::new()).unwrap().is_none());
     }
 
     #[test]
@@ -623,7 +475,7 @@ mod tests {
         let mut w = qap.witness(&asgs[0]);
         let last = w.io.len() - 1;
         w.io[last] += F61::ONE;
-        assert!(qap.compute_h(&w).is_none());
+        assert!(qap.compute_h(&w, &mut ProverWorkspace::new()).unwrap().is_none());
     }
 
     #[test]
@@ -632,7 +484,7 @@ mod tests {
         let (sys, asgs) = small_system();
         let qap = Qap::new(&sys);
         let w = qap.witness(&asgs[0]);
-        let h = qap.compute_h(&w).unwrap();
+        let h = qap.compute_h(&w, &mut ProverWorkspace::new()).unwrap().unwrap();
         for tau_raw in [12345u64, 999, 0xabcdef01] {
             let tau = F61::from_u64(tau_raw);
             let evals = qap.evals_at(tau);
@@ -672,12 +524,12 @@ mod tests {
         let q2 = Qap::with_domain(&sys, ArithDomain::<F61>::new(sys.constraints.len()));
         let w1 = q1.witness(&asgs[0]);
         let w2 = q2.witness(&asgs[0]);
-        assert!(q1.compute_h(&w1).is_some());
-        assert!(q2.compute_h(&w2).is_some());
+        assert!(q1.compute_h(&w1, &mut ProverWorkspace::new()).unwrap().is_some());
+        assert!(q2.compute_h(&w2, &mut ProverWorkspace::new()).unwrap().is_some());
         // And both reject a broken witness.
         let mut wb = q2.witness(&asgs[0]);
         wb.z[0] += F61::ONE;
-        assert!(q2.compute_h(&wb).is_none());
+        assert!(q2.compute_h(&wb, &mut ProverWorkspace::new()).unwrap().is_none());
     }
 
     #[test]
@@ -701,7 +553,7 @@ mod tests {
         let (sys, asgs) = small_system();
         let qap = Qap::new(&sys);
         let w = qap.witness(&asgs[0]);
-        let h = qap.compute_h(&w).unwrap();
+        let h = qap.compute_h(&w, &mut ProverWorkspace::new()).unwrap().unwrap();
         assert_eq!(h.len(), qap.degree() + 1);
     }
 
@@ -711,9 +563,9 @@ mod tests {
         let (sys, asgs) = small_system();
         let qap = Qap::with_domain(&sys, Radix2Domain::new(sys.constraints.len() * 4));
         let w = qap.witness(&asgs[1]);
-        assert!(qap.compute_h(&w).is_some());
+        assert!(qap.compute_h(&w, &mut ProverWorkspace::new()).unwrap().is_some());
         let mut wb = w.clone();
         wb.z[1] += F61::ONE;
-        assert!(qap.compute_h(&wb).is_none());
+        assert!(qap.compute_h(&wb, &mut ProverWorkspace::new()).unwrap().is_none());
     }
 }

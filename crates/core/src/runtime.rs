@@ -6,11 +6,19 @@
 //!
 //! ```text
 //! V → P   SETUP (seq 0)        commitment keys, query seed, t-vectors
+//!         (or HSETUP)          the same for several circuits at once
 //! P → V   SETUP_ACK (seq 0)    or ERROR if the setup failed validation
 //! V → P   INSTANCE_REQ (seq i+1, payload = LE32 instance index)
 //! P → V   INSTANCE_RESP        commitments + decommitments
 //! V → P   DONE                 best-effort session close
 //! ```
+//!
+//! The prover side of a session is one state machine,
+//! [`ServingSession`], fed one frame at a time; the blocking
+//! [`run_hetero_session_prover`] loop and the poll-loop server in
+//! `zaatar-server` both drive it, so they answer every frame with the
+//! same bytes. The verifier side is one driver shared by
+//! [`run_session_verifier`] and [`run_hetero_session_verifier`].
 //!
 //! Every exchange is idempotent — the setup is deterministic state, and
 //! each instance response is computed once and cached — so the retry
@@ -27,15 +35,13 @@ use zaatar_crypto::{ChaChaPrg, HasGroup};
 use zaatar_field::PrimeField;
 use zaatar_mem::MemBudget;
 use zaatar_poly::domain::EvalDomain;
-use zaatar_sched::{Answering, ExecPolicy, Proving};
+use zaatar_sched::ExecPolicy;
 use zaatar_transport::{exchange, Frame, RetryPolicy, Transport, TransportError};
 
-use crate::parallel::{parallel_map, parallel_map_with};
-use crate::pcp::{BatchQuerySet, PcpResponses, ZaatarPcp, ZaatarProof};
+use crate::parallel::parallel_map_with;
+use crate::pcp::{ZaatarPcp, ZaatarProof};
 use crate::qap::QapWitness;
-use crate::session::{
-    HeteroSessionProver, HeteroSessionVerifier, SessionError, SessionProver, SessionVerifier,
-};
+use crate::session::{HeteroSessionProver, HeteroSessionVerifier, SessionError, SessionVerifier};
 use crate::wire::WireError;
 use crate::workspace::ProverWorkspace;
 
@@ -73,15 +79,14 @@ pub mod errcode {
 }
 
 /// Builds the proofs for a batch of witnesses under an explicit
-/// [`ExecPolicy`]: `policy.workers` threads (the paper's
-/// "embarrassingly parallel instances", §5.2), each with its own
-/// [`ProverWorkspace`] capped by `budget`, each instance proved through
-/// the pipeline `policy.proving` selects — [`Proving::Monolithic`] runs
-/// [`ZaatarPcp::prove_with`], [`Proving::Streamed`] runs
-/// [`ZaatarPcp::prove_streamed`] at the policy's chunk length. Output
-/// order matches `witnesses`, and proofs are byte-identical across
-/// every policy: the policy moves work across threads and chunks, never
-/// into the transcript.
+/// [`ExecPolicy`] — the one batch entry point of the prover pipeline:
+/// `policy.workers` threads (the paper's "embarrassingly parallel
+/// instances", §5.2), each with its own [`ProverWorkspace`] capped by
+/// `budget` and stamped with `policy`, each instance proved through
+/// [`ZaatarPcp::prove_with`] at the policy's chunk length. Output order
+/// matches `witnesses`, and proofs are byte-identical across every
+/// policy: the policy moves work across threads and chunks, never into
+/// the transcript.
 ///
 /// Per-instance results mirror [`ZaatarPcp::prove`]: a non-satisfying
 /// witness yields `None` for that instance only, so one bad instance
@@ -90,9 +95,7 @@ pub mod errcode {
 /// the batch with `Err`: it is an environment problem every remaining
 /// instance would hit too.
 ///
-/// This is the policy-dispatched entry point the legacy
-/// [`prove_batch`] / [`prove_batch_streamed`] wrappers collapse into;
-/// derive the policy with [`zaatar_sched::Scheduler::policy`] or pin it
+/// Derive the policy with [`zaatar_sched::Scheduler::policy`] or pin it
 /// with the [`ExecPolicy`] constructors.
 pub fn prove_batch_with_policy<F, D>(
     pcp: &ZaatarPcp<F, D>,
@@ -111,143 +114,10 @@ where
         witnesses.iter().collect(),
         policy.workers,
         || ProverWorkspace::with_budget(budget).with_policy(policy),
-        |ws, w| prove_instance_policied(pcp, w, ws),
+        |ws, w| pcp.prove_with(w, ws),
     )
     .into_iter()
     .collect()
-}
-
-/// Proves one instance through whichever pipeline the workspace's
-/// stamped [`ExecPolicy`] selects — the single dispatch point every
-/// batch entry point and the session server's serving path go through.
-/// `Ok(None)` is a non-satisfying witness; `Err` is a budget refusal.
-pub fn prove_instance_policied<F, D>(
-    pcp: &ZaatarPcp<F, D>,
-    witness: &QapWitness<F>,
-    ws: &mut ProverWorkspace<F>,
-) -> Result<Option<ZaatarProof<F>>, zaatar_mem::BudgetError>
-where
-    F: PrimeField,
-    D: EvalDomain<F>,
-{
-    match ws.policy().proving {
-        Proving::Monolithic => Ok(pcp.prove_with(witness, ws)),
-        Proving::Streamed { chunk_len } => pcp.prove_streamed(witness, chunk_len, ws),
-    }
-}
-
-/// Builds the proofs for a batch of witnesses across `workers` threads,
-/// preserving batch order; a non-satisfying witness yields `None` for
-/// that instance only. Thin wrapper over [`prove_batch_with_policy`]
-/// pinning the legacy contract: monolithic pipeline, unlimited budget
-/// (so the `Err` path is unreachable).
-///
-/// This is the batch entry point [`run_session_prover`] callers should
-/// use instead of a serial `pcp.prove` loop.
-pub fn prove_batch<F, D>(
-    pcp: &ZaatarPcp<F, D>,
-    witnesses: &[QapWitness<F>],
-    workers: usize,
-) -> Vec<Option<ZaatarProof<F>>>
-where
-    F: PrimeField,
-    D: EvalDomain<F>,
-{
-    prove_batch_with_policy(
-        pcp,
-        witnesses,
-        &ExecPolicy::with_workers(workers),
-        MemBudget::unlimited(),
-    )
-    .expect("unlimited budget never refuses a lease")
-}
-
-/// Serial [`prove_batch`] over a caller-owned workspace: every instance
-/// runs on the calling thread and leases its stage buffers from `ws`.
-/// This is the entry point for a long-lived prover that keeps one
-/// workspace across many sessions — the leak-guard suite pins
-/// `ws.footprint_bytes()` across hundreds of calls — and for callers
-/// that want allocation behaviour independent of worker scheduling.
-pub fn prove_batch_with<F, D>(
-    pcp: &ZaatarPcp<F, D>,
-    witnesses: &[QapWitness<F>],
-    ws: &mut ProverWorkspace<F>,
-) -> Vec<Option<ZaatarProof<F>>>
-where
-    F: PrimeField,
-    D: EvalDomain<F>,
-{
-    let _span = zaatar_obs::time("runtime.prove_batch");
-    zaatar_obs::counter("runtime.prove_batch.instances").add(witnesses.len() as u64);
-    witnesses.iter().map(|w| pcp.prove_with(w, ws)).collect()
-}
-
-/// [`prove_batch_with`] through the streaming pipeline: each instance
-/// runs [`ZaatarPcp::prove_streamed`] with chunks of `chunk_len` field
-/// elements, so the whole batch proves under the workspace's memory
-/// budget. The first lease the budget refuses aborts the batch with
-/// `Err` — unlike a non-satisfying witness (which yields `None` for
-/// that instance only), a budget refusal is an environment problem
-/// every remaining instance would hit too. Proofs are byte-identical
-/// to [`prove_batch_with`].
-///
-/// Thin wrapper over the policied dispatch: stamps
-/// [`ExecPolicy::streamed`]`(chunk_len)` on `ws` (the stamp persists,
-/// as a server's would) and runs every instance through
-/// [`prove_instance_policied`] on the caller's workspace.
-pub fn prove_batch_streamed<F, D>(
-    pcp: &ZaatarPcp<F, D>,
-    witnesses: &[QapWitness<F>],
-    chunk_len: usize,
-    ws: &mut ProverWorkspace<F>,
-) -> Result<Vec<Option<ZaatarProof<F>>>, zaatar_mem::BudgetError>
-where
-    F: PrimeField,
-    D: EvalDomain<F>,
-{
-    let _span = zaatar_obs::time("runtime.prove_batch");
-    zaatar_obs::counter("runtime.prove_batch.instances").add(witnesses.len() as u64);
-    ws.set_policy(ExecPolicy::streamed(chunk_len));
-    witnesses
-        .iter()
-        .map(|w| prove_instance_policied(pcp, w, ws))
-        .collect()
-}
-
-/// Answers every instance of a batch off one amortized
-/// [`BatchQuerySet`], with instances sharded across `workers` threads
-/// (each instance is one blocked-kernel pass per oracle). The companion
-/// to [`prove_batch`] for the decommitment phase; output order matches
-/// `proofs`, and each entry is identical to the serial
-/// [`ZaatarPcp::answer`] on the same queries.
-pub fn answer_batch<F: zaatar_field::Field>(
-    batch: &BatchQuerySet<F>,
-    proofs: &[ZaatarProof<F>],
-    workers: usize,
-) -> Vec<PcpResponses<F>> {
-    let _span = zaatar_obs::time("runtime.answer_batch");
-    zaatar_obs::counter("runtime.answer_batch.instances").add(proofs.len() as u64);
-    parallel_map(proofs.iter().collect(), workers, |p| batch.answer(p, 1))
-}
-
-/// [`answer_batch`] under an explicit [`ExecPolicy`]:
-/// [`Answering::Serial`] answers every instance on the calling thread
-/// (no spawn overhead — what the scheduler picks for β=1 or 1-core
-/// hosts), [`Answering::Packed`] shards instances across
-/// `policy.workers` threads. Responses are identical either way.
-pub fn answer_batch_with_policy<F: zaatar_field::Field>(
-    batch: &BatchQuerySet<F>,
-    proofs: &[ZaatarProof<F>],
-    policy: &ExecPolicy,
-) -> Vec<PcpResponses<F>> {
-    match policy.answering {
-        Answering::Serial => {
-            let _span = zaatar_obs::time("runtime.answer_batch");
-            zaatar_obs::counter("runtime.answer_batch.instances").add(proofs.len() as u64);
-            proofs.iter().map(|p| batch.answer(p, 1)).collect()
-        }
-        Answering::Packed => answer_batch(batch, proofs, policy.workers),
-    }
 }
 
 /// The verifier's verdict on one instance of the batch.
@@ -291,6 +161,16 @@ impl SessionReport {
     }
 }
 
+/// Instance indexes travel as LE32 and frame seqs reserve 0 for the
+/// setup, so a batch the u32 space cannot address is refused up front
+/// instead of silently aliasing instances.
+fn check_batch_addressable(batch: usize) -> Result<(), SessionError> {
+    if batch >= u32::MAX as usize {
+        return Err(SessionError::Wire(WireError::TooLong { len: batch }));
+    }
+    Ok(())
+}
+
 /// Runs the verifier's side of a batched argument session over
 /// `transport`, claiming the io vectors in `ios`.
 ///
@@ -310,19 +190,65 @@ where
     D: EvalDomain<F>,
     T: Transport,
 {
-    // Instance indexes travel as LE32 and frame seqs reserve 0 for the
-    // setup, so a batch the u32 space cannot address is refused up
-    // front instead of silently aliasing instances.
-    if ios.len() >= u32::MAX as usize {
-        return Err(SessionError::Wire(WireError::TooLong { len: ios.len() }));
-    }
+    check_batch_addressable(ios.len())?;
     let _span = zaatar_obs::time("runtime.session");
     let started = Instant::now();
     let mut verifier = SessionVerifier::new(pcp, prg);
-    let mut retry_prg = prg.fork(1);
-    let mut retransmits = 0u64;
-
     let setup = Frame::new(msg::SETUP, 0, verifier.setup_message()?);
+    drive_verifier(transport, setup, ios, policy, prg.fork(1), started, |_, message, io| {
+        verifier.verify_instance(message, io)
+    })
+}
+
+/// Runs the verifier's side of a *heterogeneous* batched session:
+/// `pcps` are the circuits, `circuit_ids[i]` names the circuit of
+/// instance `i`, and `ios[i]` is that instance's claimed io in its
+/// circuit's QAP order. The message sequence is the legacy one with
+/// [`msg::HSETUP`] in place of [`msg::SETUP`]; failure handling and
+/// per-instance degradation are those of [`run_session_verifier`] (the
+/// two share one driver).
+pub fn run_hetero_session_verifier<F, D, T>(
+    transport: &mut T,
+    pcps: &[&ZaatarPcp<F, D>],
+    circuit_ids: &[u32],
+    ios: &[Vec<F>],
+    policy: &RetryPolicy,
+    prg: &mut ChaChaPrg,
+) -> Result<SessionReport, SessionError>
+where
+    F: HasGroup + PrimeField,
+    D: EvalDomain<F>,
+    T: Transport,
+{
+    check_batch_addressable(ios.len())?;
+    if ios.len() != circuit_ids.len() {
+        return Err(SessionError::Protocol("one circuit id per claimed io"));
+    }
+    let _span = zaatar_obs::time("runtime.session.hetero");
+    let started = Instant::now();
+    let mut verifier = HeteroSessionVerifier::new(pcps, circuit_ids, prg);
+    let setup = Frame::new(msg::HSETUP, 0, verifier.setup_message()?);
+    drive_verifier(transport, setup, ios, policy, prg.fork(1), started, |i, message, io| {
+        verifier.verify_instance(i, message, io)
+    })
+}
+
+/// The verifier driver both session kinds share: sends `setup`, then
+/// requests and verifies every instance through `verify(i, message, io)`,
+/// degrading per instance, and closes with a best-effort DONE.
+fn drive_verifier<F, T>(
+    transport: &mut T,
+    setup: Frame,
+    ios: &[Vec<F>],
+    policy: &RetryPolicy,
+    mut retry_prg: ChaChaPrg,
+    started: Instant,
+    mut verify: impl FnMut(usize, &[u8], &[F]) -> Result<bool, WireError>,
+) -> Result<SessionReport, SessionError>
+where
+    T: Transport,
+{
+    let mut retransmits = 0u64;
     let ack = exchange(transport, &setup, &[msg::SETUP_ACK, msg::ERROR], policy, &mut retry_prg)?;
     retransmits += ack.retransmits as u64;
     if ack.response.msg_type == msg::ERROR {
@@ -355,7 +281,7 @@ where
                 if out.response.msg_type == msg::ERROR {
                     VerifyOutcome::Malformed(WireError::Invalid)
                 } else {
-                    match verifier.verify_instance(&out.response.payload, io) {
+                    match verify(i, &out.response.payload, io) {
                         Ok(true) => VerifyOutcome::Accepted,
                         Ok(false) => VerifyOutcome::Rejected,
                         Err(e) => VerifyOutcome::Malformed(e),
@@ -392,6 +318,119 @@ where
     })
 }
 
+/// What [`ServingSession::handle`] concluded about one frame.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Send this frame back: `SETUP_ACK`, `INSTANCE_RESP`, or a typed
+    /// `ERROR` (malformed setup, bad index, no setup yet).
+    Reply(Frame),
+    /// The verifier sent DONE: the session is over.
+    Done,
+    /// A frame type this protocol version does not know: ignored
+    /// rather than aborting the session.
+    Ignored,
+}
+
+/// The prover side of one session as a frame-at-a-time state machine:
+/// owns the [`HeteroSessionProver`] endpoint, the per-instance response
+/// cache, and the session phase (whether a setup has ever landed).
+/// A single-circuit session is the C = 1 case: it accepts the legacy
+/// [`msg::SETUP`] encoding as well as [`msg::HSETUP`].
+///
+/// Transport, deadlines and idle handling belong to the caller — the
+/// blocking [`run_hetero_session_prover`] loop or the poll-loop server
+/// — which feeds every received frame to [`ServingSession::handle`] and
+/// sends back what it returns. The machine never panics on channel
+/// input, and the cached responses make every reply idempotent under
+/// retransmission.
+pub struct ServingSession<'p, F: HasGroup, D> {
+    prover: HeteroSessionProver<'p, F, D>,
+    proofs: &'p [ZaatarProof<F>],
+    cache: Vec<Option<Vec<u8>>>,
+    setup_seen: bool,
+}
+
+impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> ServingSession<'p, F, D> {
+    /// A session serving `proofs`, where `proofs[i]` belongs to circuit
+    /// `circuit_ids[i]` of `pcps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuit_ids` and `proofs` disagree in length or any id
+    /// is out of range — local configuration, not wire input.
+    pub fn new(
+        pcps: &[&'p ZaatarPcp<F, D>],
+        circuit_ids: &[u32],
+        proofs: &'p [ZaatarProof<F>],
+    ) -> Self {
+        assert_eq!(circuit_ids.len(), proofs.len(), "one circuit id per proof");
+        ServingSession {
+            prover: HeteroSessionProver::new(pcps, circuit_ids),
+            proofs,
+            cache: vec![None; proofs.len()],
+            setup_seen: false,
+        }
+    }
+
+    /// True once any setup has been accepted — the session then counts
+    /// as served when the verifier goes quiet or hangs up.
+    pub fn setup_seen(&self) -> bool {
+        self.setup_seen
+    }
+
+    /// Handles one received frame, computing instance responses over
+    /// `ws` (the pipeline's Commit and Answer stages, at the workspace's
+    /// stamped chunk length). `Err` is a failure no reply can express,
+    /// such as the workspace budget refusing a lease; the session
+    /// should end.
+    pub fn handle(
+        &mut self,
+        frame: &Frame,
+        ws: &mut ProverWorkspace<F>,
+    ) -> Result<Step, SessionError> {
+        let error = |code: u8| Ok(Step::Reply(Frame::new(msg::ERROR, frame.seq, vec![code])));
+        match frame.msg_type {
+            msg::SETUP | msg::HSETUP => {
+                // Legacy SETUP keeps its single-circuit byte path;
+                // HSETUP carries the multi-circuit layout.
+                let received = if frame.msg_type == msg::HSETUP {
+                    self.prover.receive_setup(&frame.payload)
+                } else {
+                    self.prover.receive_legacy_setup(&frame.payload)
+                };
+                if received.is_err() {
+                    return error(errcode::MALFORMED);
+                }
+                // A (possibly retransmitted) setup invalidates any
+                // responses cached under the previous one.
+                self.cache.iter_mut().for_each(|slot| *slot = None);
+                self.setup_seen = true;
+                Ok(Step::Reply(Frame::new(msg::SETUP_ACK, frame.seq, Vec::new())))
+            }
+            msg::INSTANCE_REQ => {
+                let idx = match parse_instance_index(&frame.payload, self.proofs.len()) {
+                    Ok(idx) => idx,
+                    Err(code) => return error(code),
+                };
+                let bytes = match &self.cache[idx] {
+                    Some(bytes) => bytes.clone(),
+                    None => match self.prover.instance_message(idx, &self.proofs[idx], ws) {
+                        Ok(bytes) => {
+                            self.cache[idx] = Some(bytes.clone());
+                            bytes
+                        }
+                        Err(SessionError::SetupNotReceived) => return error(errcode::NO_SETUP),
+                        Err(e) => return Err(e),
+                    },
+                };
+                Ok(Step::Reply(Frame::new(msg::INSTANCE_RESP, frame.seq, bytes)))
+            }
+            msg::DONE => Ok(Step::Done),
+            _ => Ok(Step::Ignored),
+        }
+    }
+}
+
 /// Counters from one prover serving session.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProverStats {
@@ -402,12 +441,9 @@ pub struct ProverStats {
 }
 
 /// Serves proofs over `transport` until the verifier sends DONE, the
-/// channel closes, or `idle_timeout` passes without any valid frame.
-///
-/// The loop never panics on channel input: malformed setups and
-/// out-of-range instance requests are answered with typed ERROR frames,
-/// and the cached responses make every reply idempotent under
-/// retransmission.
+/// channel closes, or `idle_timeout` passes without any valid frame —
+/// [`run_hetero_session_prover`] with one circuit, the same way
+/// `SessionServer::new` is its hetero constructor with one circuit.
 pub fn run_session_prover<F, D, T>(
     transport: &mut T,
     pcp: &ZaatarPcp<F, D>,
@@ -419,182 +455,19 @@ where
     D: EvalDomain<F>,
     T: Transport,
 {
-    let mut prover = SessionProver::new(pcp);
-    let mut cache: Vec<Option<Vec<u8>>> = vec![None; proofs.len()];
-    let mut stats = ProverStats::default();
-    // One workspace for the whole serving loop: every instance response
-    // leases its Answer-stage buffers from the same pool.
-    let mut ws = ProverWorkspace::new();
-
-    loop {
-        let frame = match transport.recv(Instant::now() + idle_timeout) {
-            Ok(frame) => frame,
-            // An idle or closed channel ends the serving loop normally:
-            // the verifier is done or gone, and either way there is
-            // nobody left to serve.
-            Err(TransportError::TimedOut) | Err(TransportError::Closed) => return Ok(stats),
-            Err(e) => return Err(e.into()),
-        };
-        match frame.msg_type {
-            msg::SETUP => {
-                let reply = match prover.receive_setup(&frame.payload) {
-                    Ok(()) => {
-                        // A (possibly retransmitted) setup invalidates
-                        // any responses cached under the previous one.
-                        cache.iter_mut().for_each(|slot| *slot = None);
-                        Frame::new(msg::SETUP_ACK, frame.seq, Vec::new())
-                    }
-                    Err(_) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![errcode::MALFORMED])
-                    }
-                };
-                transport.send(&reply)?;
-            }
-            msg::INSTANCE_REQ => {
-                let reply = match parse_index(&frame.payload, proofs.len()) {
-                    Err(code) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![code])
-                    }
-                    Ok(idx) => {
-                        let cached = match &cache[idx] {
-                            Some(bytes) => Ok(bytes.clone()),
-                            None => prover
-                                .instance_message_with(&proofs[idx], &mut ws)
-                                .inspect(|bytes| cache[idx] = Some(bytes.clone())),
-                        };
-                        match cached {
-                            Ok(bytes) => {
-                                stats.responses_served += 1;
-                                zaatar_obs::counter("runtime.prover.responses_served").inc();
-                                Frame::new(msg::INSTANCE_RESP, frame.seq, bytes)
-                            }
-                            Err(SessionError::SetupNotReceived) => {
-                                stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                                Frame::new(msg::ERROR, frame.seq, vec![errcode::NO_SETUP])
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                transport.send(&reply)?;
-            }
-            msg::DONE => return Ok(stats),
-            // Unknown frame types from this or a future protocol
-            // version: ignore rather than abort.
-            _ => {}
-        }
-    }
+    run_hetero_session_prover(transport, &[pcp], &vec![0; proofs.len()], proofs, idle_timeout)
 }
 
-/// Runs the verifier's side of a *heterogeneous* batched session:
-/// `pcps` are the circuits, `circuit_ids[i]` names the circuit of
-/// instance `i`, and `ios[i]` is that instance's claimed io in its
-/// circuit's QAP order. The message sequence is the legacy one with
-/// [`msg::HSETUP`] in place of [`msg::SETUP`]; failure handling and
-/// per-instance degradation are identical to [`run_session_verifier`].
-pub fn run_hetero_session_verifier<F, D, T>(
-    transport: &mut T,
-    pcps: &[&ZaatarPcp<F, D>],
-    circuit_ids: &[u32],
-    ios: &[Vec<F>],
-    policy: &RetryPolicy,
-    prg: &mut ChaChaPrg,
-) -> Result<SessionReport, SessionError>
-where
-    F: HasGroup + PrimeField,
-    D: EvalDomain<F>,
-    T: Transport,
-{
-    if ios.len() >= u32::MAX as usize {
-        return Err(SessionError::Wire(WireError::TooLong { len: ios.len() }));
-    }
-    if ios.len() != circuit_ids.len() {
-        return Err(SessionError::Protocol("one circuit id per claimed io"));
-    }
-    let _span = zaatar_obs::time("runtime.session.hetero");
-    let started = Instant::now();
-    let mut verifier = HeteroSessionVerifier::new(pcps, circuit_ids, prg);
-    let mut retry_prg = prg.fork(1);
-    let mut retransmits = 0u64;
-
-    let setup = Frame::new(msg::HSETUP, 0, verifier.setup_message()?);
-    let ack = exchange(transport, &setup, &[msg::SETUP_ACK, msg::ERROR], policy, &mut retry_prg)?;
-    retransmits += ack.retransmits as u64;
-    if ack.response.msg_type == msg::ERROR {
-        return Err(SessionError::Peer(
-            ack.response.payload.first().copied().unwrap_or(0),
-        ));
-    }
-
-    let mut outcomes = Vec::with_capacity(ios.len());
-    let mut channel_gone = false;
-    for (i, io) in ios.iter().enumerate() {
-        if channel_gone {
-            outcomes.push(VerifyOutcome::TimedOut);
-            continue;
-        }
-        let req = Frame::new(
-            msg::INSTANCE_REQ,
-            (i + 1) as u32,
-            (i as u32).to_le_bytes().to_vec(),
-        );
-        let outcome = match exchange(
-            transport,
-            &req,
-            &[msg::INSTANCE_RESP, msg::ERROR],
-            policy,
-            &mut retry_prg,
-        ) {
-            Ok(out) => {
-                retransmits += out.retransmits as u64;
-                if out.response.msg_type == msg::ERROR {
-                    VerifyOutcome::Malformed(WireError::Invalid)
-                } else {
-                    match verifier.verify_instance(i, &out.response.payload, io) {
-                        Ok(true) => VerifyOutcome::Accepted,
-                        Ok(false) => VerifyOutcome::Rejected,
-                        Err(e) => VerifyOutcome::Malformed(e),
-                    }
-                }
-            }
-            Err(TransportError::TimedOut) => VerifyOutcome::TimedOut,
-            Err(_) => {
-                channel_gone = true;
-                VerifyOutcome::TimedOut
-            }
-        };
-        match outcome {
-            VerifyOutcome::Accepted => zaatar_obs::counter("runtime.verifier.accepted").inc(),
-            VerifyOutcome::Rejected => zaatar_obs::counter("runtime.verifier.rejected").inc(),
-            VerifyOutcome::Malformed(_) => {
-                zaatar_obs::counter("runtime.verifier.malformed").inc()
-            }
-            VerifyOutcome::TimedOut => zaatar_obs::counter("runtime.verifier.timed_out").inc(),
-        }
-        outcomes.push(outcome);
-    }
-
-    let _ = transport.send(&Frame::new(msg::DONE, u32::MAX, Vec::new()));
-
-    zaatar_obs::counter("runtime.verifier.retransmits").add(retransmits);
-    Ok(SessionReport {
-        outcomes,
-        retransmits,
-        elapsed: started.elapsed(),
-    })
-}
-
-/// Serves a heterogeneous proof batch over `transport` until the
-/// verifier sends DONE, the channel closes, or `idle_timeout` passes.
-/// `proofs[i]` belongs to circuit `circuit_ids[i]`. Accepts
-/// [`msg::HSETUP`]; a legacy [`msg::SETUP`] is accepted only when the
-/// batch carries exactly one circuit (so this loop is a strict superset
-/// of [`run_session_prover`] behaviour in that case).
+/// Serves a (possibly heterogeneous) proof batch over `transport` until
+/// the verifier sends DONE, the channel closes, or `idle_timeout`
+/// passes without any valid frame: the blocking loop over one
+/// [`ServingSession`]. `proofs[i]` belongs to circuit `circuit_ids[i]`.
+/// Accepts [`msg::HSETUP`]; a legacy [`msg::SETUP`] is accepted only
+/// when the batch carries exactly one circuit.
+///
+/// Malformed setups and out-of-range instance requests are answered
+/// with typed ERROR frames; one workspace (default policy: one covering
+/// chunk) serves every instance response of the session.
 pub fn run_hetero_session_prover<F, D, T>(
     transport: &mut T,
     pcps: &[&ZaatarPcp<F, D>],
@@ -610,84 +483,42 @@ where
     if proofs.len() != circuit_ids.len() {
         return Err(SessionError::Protocol("one circuit id per proof"));
     }
-    let mut prover = HeteroSessionProver::new(pcps, circuit_ids);
-    let mut cache: Vec<Option<Vec<u8>>> = vec![None; proofs.len()];
+    let mut session = ServingSession::new(pcps, circuit_ids, proofs);
     let mut stats = ProverStats::default();
     let mut ws = ProverWorkspace::new();
-
     loop {
         let frame = match transport.recv(Instant::now() + idle_timeout) {
             Ok(frame) => frame,
+            // An idle or closed channel ends the serving loop normally:
+            // the verifier is done or gone, and either way there is
+            // nobody left to serve.
             Err(TransportError::TimedOut) | Err(TransportError::Closed) => return Ok(stats),
             Err(e) => return Err(e.into()),
         };
-        match frame.msg_type {
-            msg::HSETUP | msg::SETUP => {
-                let received = if frame.msg_type == msg::HSETUP {
-                    prover.receive_setup(&frame.payload)
-                } else {
-                    prover.receive_legacy_setup(&frame.payload)
-                };
-                let reply = match received {
-                    Ok(()) => {
-                        cache.iter_mut().for_each(|slot| *slot = None);
-                        Frame::new(msg::SETUP_ACK, frame.seq, Vec::new())
-                    }
-                    Err(_) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![errcode::MALFORMED])
-                    }
-                };
-                transport.send(&reply)?;
+        let reply = match session.handle(&frame, &mut ws)? {
+            Step::Reply(reply) => reply,
+            Step::Done => return Ok(stats),
+            Step::Ignored => continue,
+        };
+        match reply.msg_type {
+            msg::INSTANCE_RESP => {
+                stats.responses_served += 1;
+                zaatar_obs::counter("runtime.prover.responses_served").inc();
             }
-            msg::INSTANCE_REQ => {
-                let reply = match parse_index(&frame.payload, proofs.len()) {
-                    Err(code) => {
-                        stats.errors_reported += 1;
-                        zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                        Frame::new(msg::ERROR, frame.seq, vec![code])
-                    }
-                    Ok(idx) => {
-                        let cached = match &cache[idx] {
-                            Some(bytes) => Ok(bytes.clone()),
-                            None => prover
-                                .instance_message_with(idx, &proofs[idx], &mut ws)
-                                .inspect(|bytes| cache[idx] = Some(bytes.clone())),
-                        };
-                        match cached {
-                            Ok(bytes) => {
-                                stats.responses_served += 1;
-                                zaatar_obs::counter("runtime.prover.responses_served").inc();
-                                Frame::new(msg::INSTANCE_RESP, frame.seq, bytes)
-                            }
-                            Err(SessionError::SetupNotReceived) => {
-                                stats.errors_reported += 1;
-                                zaatar_obs::counter("runtime.prover.errors_reported").inc();
-                                Frame::new(msg::ERROR, frame.seq, vec![errcode::NO_SETUP])
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                transport.send(&reply)?;
+            msg::ERROR => {
+                stats.errors_reported += 1;
+                zaatar_obs::counter("runtime.prover.errors_reported").inc();
             }
-            msg::DONE => return Ok(stats),
             _ => {}
         }
+        transport.send(&reply)?;
     }
-}
-
-fn parse_index(payload: &[u8], batch: usize) -> Result<usize, u8> {
-    parse_instance_index(payload, batch)
 }
 
 /// Decodes an [`msg::INSTANCE_REQ`] payload (LE32 index) against a
 /// batch of `batch` instances, returning the [`errcode`] a prover
-/// should report on failure. Shared by [`run_session_prover`] and the
-/// poll-loop server in `zaatar-server`, so both reply byte-identically
-/// to malformed or out-of-range requests.
-pub fn parse_instance_index(payload: &[u8], batch: usize) -> Result<usize, u8> {
+/// should report on failure.
+fn parse_instance_index(payload: &[u8], batch: usize) -> Result<usize, u8> {
     let bytes: [u8; 4] = payload.try_into().map_err(|_| errcode::MALFORMED)?;
     let idx = u32::from_le_bytes(bytes) as usize;
     if idx >= batch {
@@ -740,8 +571,14 @@ mod tests {
                     .collect(),
             );
         }
-        let proofs = prove_batch(&pcp, &witnesses, 4)
-            .into_iter()
+        let proofs = prove_batch_with_policy(
+            &pcp,
+            &witnesses,
+            &ExecPolicy::with_workers(4),
+            MemBudget::unlimited(),
+        )
+        .unwrap()
+        .into_iter()
             .map(|p| p.expect("satisfying witness"))
             .collect();
         (pcp, proofs, ios)
@@ -767,7 +604,13 @@ mod tests {
         }
         // Corrupt the middle witness: it alone must yield None.
         witnesses[1].z[0] += F61::ONE;
-        let parallel = prove_batch(&pcp, &witnesses, 4);
+        let parallel = prove_batch_with_policy(
+            &pcp,
+            &witnesses,
+            &ExecPolicy::with_workers(4),
+            MemBudget::unlimited(),
+        )
+        .unwrap();
         let serial: Vec<_> = witnesses.iter().map(|w| pcp.prove(w)).collect();
         assert_eq!(parallel.len(), 3);
         assert!(parallel[0].is_some());
@@ -894,6 +737,43 @@ mod tests {
         assert_eq!(report.outcomes[1], VerifyOutcome::Rejected);
         assert_eq!(report.outcomes[2], VerifyOutcome::Accepted);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn serving_session_answers_frames_without_a_transport() {
+        // The state machine alone: no setup yet → NO_SETUP, bad index
+        // → BAD_INDEX, unknown frame types ignored, DONE ends it.
+        let (pcp, proofs, ios) = fixture(&[[2, 9]]);
+        let mut session = ServingSession::new(&[&pcp], &[0], &proofs);
+        let mut ws = ProverWorkspace::new();
+        let req = |seq: u32, idx: u32| Frame::new(msg::INSTANCE_REQ, seq, idx.to_le_bytes().to_vec());
+        let error = |seq: u32, code: u8| Step::Reply(Frame::new(msg::ERROR, seq, vec![code]));
+        assert_eq!(session.handle(&req(1, 0), &mut ws).unwrap(), error(1, errcode::NO_SETUP));
+        assert!(!session.setup_seen());
+        let mut prg = ChaChaPrg::from_u64_seed(0xA11D3);
+        let mut verifier = SessionVerifier::new(&pcp, &mut prg);
+        let setup = Frame::new(msg::SETUP, 0, verifier.setup_message().unwrap());
+        assert_eq!(
+            session.handle(&setup, &mut ws).unwrap(),
+            Step::Reply(Frame::new(msg::SETUP_ACK, 0, Vec::new()))
+        );
+        assert!(session.setup_seen());
+        assert_eq!(session.handle(&req(2, 5), &mut ws).unwrap(), error(2, errcode::BAD_INDEX));
+        let Step::Reply(resp) = session.handle(&req(3, 0), &mut ws).unwrap() else {
+            panic!("instance request must be answered");
+        };
+        assert_eq!(resp.msg_type, msg::INSTANCE_RESP);
+        assert!(verifier.verify_instance(&resp.payload, &ios[0]).unwrap());
+        // A retransmitted request is served from the cache, byte for byte.
+        assert_eq!(session.handle(&req(3, 0), &mut ws).unwrap(), Step::Reply(resp));
+        assert_eq!(
+            session.handle(&Frame::new(99, 4, Vec::new()), &mut ws).unwrap(),
+            Step::Ignored
+        );
+        assert_eq!(
+            session.handle(&Frame::new(msg::DONE, u32::MAX, Vec::new()), &mut ws).unwrap(),
+            Step::Done
+        );
     }
 
     #[test]

@@ -281,65 +281,32 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
         self.queries.is_some()
     }
 
-    /// Produces one instance's message 2: commitments + decommitments
-    /// for a proof. Fails with [`SessionError::SetupNotReceived`] when
-    /// called before [`SessionProver::receive_setup`] has succeeded.
-    pub fn instance_message(&self, proof: &ZaatarProof<F>) -> Result<Vec<u8>, SessionError> {
-        self.instance_message_with(proof, &mut ProverWorkspace::new())
-    }
-
-    /// [`SessionProver::instance_message`] over a caller-owned
-    /// workspace: the Answer-stage decommitment vectors are leased from
-    /// `ws` and returned once encoded, so a session loop serving many
-    /// instances reuses the same two answer buffers throughout. Bytes on
-    /// the wire are identical to [`SessionProver::instance_message`].
-    pub fn instance_message_with(
+    /// Produces one instance's message 2 — the pipeline's **Commit**
+    /// and **Answer** stages over a caller-owned workspace: both oracle
+    /// commitments run at the chunk length the workspace's stamped
+    /// policy selects ([`CommitmentKey::commit`]), and the Answer-stage
+    /// decommitment vectors are hard `try_take` leases from `ws`,
+    /// returned once encoded, so a session loop serving many instances
+    /// reuses the same two answer buffers throughout. Bytes on the wire
+    /// are identical for every policy.
+    ///
+    /// Fails with [`SessionError::SetupNotReceived`] when called before
+    /// [`SessionProver::receive_setup`] has succeeded, and with
+    /// [`SessionError::BudgetExceeded`] when the workspace budget
+    /// refuses a lease (all partial leases returned first).
+    pub fn instance_message(
         &self,
         proof: &ZaatarProof<F>,
         ws: &mut ProverWorkspace<F>,
     ) -> Result<Vec<u8>, SessionError> {
         let queries = self.queries.as_ref().ok_or(SessionError::SetupNotReceived)?;
         let commitments = (
-            CommitmentKey::<F>::commit_with(&self.enc_r_z, &proof.z, ws),
-            CommitmentKey::<F>::commit_with(&self.enc_r_h, &proof.h, ws),
+            CommitmentKey::<F>::commit(&self.enc_r_z, &proof.z, ws),
+            CommitmentKey::<F>::commit(&self.enc_r_h, &proof.h, ws),
         );
         // Query answering — the same phase argument::Prover::respond
         // times as `answer_queries`, through the blocked kernel off the
         // batch-packed matrices.
-        let answer_span = zaatar_obs::time("pcp.answer");
-        zaatar_obs::counter("pcp.batch.query_reuse").inc();
-        let buf_z = ws.scratch().take(queries.z_matrix().num_rows(), F::ZERO);
-        let buf_h = ws.scratch().take(queries.h_matrix().num_rows(), F::ZERO);
-        let dz: Decommitment<F> =
-            decommit_packed_into(&proof.z, queries.z_matrix(), &self.t_z, 1, buf_z);
-        let dh: Decommitment<F> =
-            decommit_packed_into(&proof.h, queries.h_matrix(), &self.t_h, 1, buf_h);
-        drop(answer_span);
-        let bytes = crate::wire::encode_prover_message(&commitments, &dz, &dh)?;
-        ws.scratch().put(dh.answers);
-        ws.scratch().put(dz.answers);
-        Ok(bytes)
-    }
-
-    /// [`SessionProver::instance_message_with`] through the streaming
-    /// commitment engine: the two oracle commitments feed the Pippenger
-    /// MSM `chunk_len` scalars at a time, so bucket storage tracks the
-    /// chunk instead of the oracle length, and the Answer-stage buffers
-    /// are hard `try_take` leases against the workspace budget
-    /// (surfacing [`SessionError::BudgetExceeded`] instead of
-    /// allocating past the cap). Bytes on the wire are identical to
-    /// the monolithic path.
-    pub fn instance_message_streamed(
-        &self,
-        proof: &ZaatarProof<F>,
-        chunk_len: usize,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        let queries = self.queries.as_ref().ok_or(SessionError::SetupNotReceived)?;
-        let commitments = (
-            CommitmentKey::<F>::commit_chunked(&self.enc_r_z, &proof.z, chunk_len, ws),
-            CommitmentKey::<F>::commit_chunked(&self.enc_r_h, &proof.h, chunk_len, ws),
-        );
         let answer_span = zaatar_obs::time("pcp.answer");
         zaatar_obs::counter("pcp.batch.query_reuse").inc();
         let buf_z = ws.scratch().try_take(queries.z_matrix().num_rows(), F::ZERO)?;
@@ -359,27 +326,6 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
         ws.scratch().put(dh.answers);
         ws.scratch().put(dz.answers);
         Ok(bytes)
-    }
-
-    /// Dispatches on the workspace's stamped
-    /// [`zaatar_sched::ExecPolicy`]: [`zaatar_sched::Proving::Monolithic`]
-    /// runs [`SessionProver::instance_message_with`],
-    /// [`zaatar_sched::Proving::Streamed`] runs
-    /// [`SessionProver::instance_message_streamed`] at the policy's
-    /// chunk length. This is the serving path a multi-tenant server
-    /// uses after stamping each leased workspace with its scheduler's
-    /// per-tenant policy; bytes on the wire are identical either way.
-    pub fn instance_message_policied(
-        &self,
-        proof: &ZaatarProof<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        match ws.policy().proving {
-            zaatar_sched::Proving::Monolithic => self.instance_message_with(proof, ws),
-            zaatar_sched::Proving::Streamed { chunk_len } => {
-                self.instance_message_streamed(proof, chunk_len, ws)
-            }
-        }
     }
 }
 
@@ -585,39 +531,17 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> HeteroSessionProver<'p, F, 
     }
 
     /// Produces instance `i`'s message 2 through that instance's
-    /// circuit. Bytes are identical to what an isolated
-    /// [`SessionProver`] for the same circuit and setup would emit.
+    /// circuit ([`SessionProver::instance_message`]). Bytes are
+    /// identical to what an isolated [`SessionProver`] for the same
+    /// circuit and setup would emit.
     pub fn instance_message(
         &self,
         i: usize,
         proof: &ZaatarProof<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        self.instance_message_with(i, proof, &mut ProverWorkspace::new())
-    }
-
-    /// [`HeteroSessionProver::instance_message`] over a caller-owned
-    /// workspace.
-    pub fn instance_message_with(
-        &self,
-        i: usize,
-        proof: &ZaatarProof<F>,
         ws: &mut ProverWorkspace<F>,
     ) -> Result<Vec<u8>, SessionError> {
         let c = self.circuit_ids[i] as usize;
-        self.provers[c].instance_message_with(proof, ws)
-    }
-
-    /// Policy-dispatched counterpart of
-    /// [`HeteroSessionProver::instance_message_with`]; see
-    /// [`SessionProver::instance_message_policied`].
-    pub fn instance_message_policied(
-        &self,
-        i: usize,
-        proof: &ZaatarProof<F>,
-        ws: &mut ProverWorkspace<F>,
-    ) -> Result<Vec<u8>, SessionError> {
-        let c = self.circuit_ids[i] as usize;
-        self.provers[c].instance_message_policied(proof, ws)
+        self.provers[c].instance_message(proof, ws)
     }
 }
 
@@ -679,7 +603,7 @@ mod tests {
         let setup = verifier.setup_message().unwrap();
         prover.receive_setup(&setup).unwrap();
         for (proof, io) in proofs.iter().zip(&ios) {
-            let msg = prover.instance_message(proof).unwrap();
+            let msg = prover.instance_message(proof, &mut ProverWorkspace::new()).unwrap();
             assert!(verifier.verify_instance(&msg, io).unwrap());
         }
         assert!(verifier.bytes_sent > 0);
@@ -693,7 +617,7 @@ mod tests {
         let mut verifier = SessionVerifier::new(&pcp, &mut prg);
         let mut prover = SessionProver::new(&pcp);
         prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
-        let mut msg = prover.instance_message(&proofs[0]).unwrap();
+        let mut msg = prover.instance_message(&proofs[0], &mut ProverWorkspace::new()).unwrap();
         // Flip a byte in the middle (inside an answer).
         let mid = msg.len() / 2;
         msg[mid] ^= 0x01;
@@ -710,10 +634,18 @@ mod tests {
         let mut verifier = SessionVerifier::new(&pcp, &mut prg);
         let mut prover = SessionProver::new(&pcp);
         prover.receive_setup(&verifier.setup_message().unwrap()).unwrap();
-        let msg = prover.instance_message(&proofs[0]).unwrap();
+        let msg = prover.instance_message(&proofs[0], &mut ProverWorkspace::new()).unwrap();
+        assert!(verifier.verify_instance(&msg, &ios[0]).unwrap());
+        // A wrong output, an extra entry past the circuit's io count,
+        // and a missing entry are all rejected.
+        let mut padded = ios[0].clone();
+        padded.push(F61::from_u64(999));
+        let truncated = ios[0][..ios[0].len() - 1].to_vec();
         let last = ios[0].len() - 1;
         ios[0][last] += F61::ONE;
-        assert!(!verifier.verify_instance(&msg, &ios[0]).unwrap());
+        for claim in [&ios[0], &padded, &truncated] {
+            assert!(!verifier.verify_instance(&msg, claim).unwrap(), "accepted {claim:?}");
+        }
     }
 
     #[test]
@@ -735,7 +667,7 @@ mod tests {
         let (pcp, proofs, _) = fixture(&[[2, 3]]);
         let prover = SessionProver::new(&pcp);
         assert_eq!(
-            prover.instance_message(&proofs[0]).unwrap_err(),
+            prover.instance_message(&proofs[0], &mut ProverWorkspace::new()).unwrap_err(),
             SessionError::SetupNotReceived
         );
     }
@@ -810,9 +742,9 @@ mod tests {
             iso_provers.push(iso_p);
         }
         for (i, (proof, io)) in proofs.iter().zip(ios).enumerate() {
-            let msg = prover.instance_message(i, proof).unwrap();
+            let msg = prover.instance_message(i, proof, &mut ProverWorkspace::new()).unwrap();
             let iso = iso_provers[circuit_ids[i] as usize]
-                .instance_message(proof)
+                .instance_message(proof, &mut ProverWorkspace::new())
                 .unwrap();
             assert_eq!(msg, iso, "instance {i} transcript diverged from isolated session");
             assert!(verifier.verify_instance(i, &msg, io).unwrap());

@@ -266,6 +266,7 @@ pub fn decode_prover_message<F: HasGroup + PrimeField>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::ProverWorkspace;
     use crate::commit::{decommit, CommitmentKey};
     use crate::network::zaatar_network_costs;
     use crate::pcp::{PcpParams, ZaatarPcp};
@@ -341,8 +342,8 @@ mod tests {
             (a.to_vec(), b.to_vec())
         };
         let commitments = (
-            CommitmentKey::<F61>::commit(&ez, &proof.z),
-            CommitmentKey::<F61>::commit(&eh, &proof.h),
+            CommitmentKey::<F61>::commit(&ez, &proof.z, &mut ProverWorkspace::new()),
+            CommitmentKey::<F61>::commit(&eh, &proof.h, &mut ProverWorkspace::new()),
         );
         let req = verifier.decommit_request();
         let dz = decommit(&proof.z, &req.z_queries, req.t_z);
@@ -414,8 +415,8 @@ mod tests {
         let (tz, _) = key_z.consistency_query(&queries.z_queries(), &mut prg);
         let (th, _) = key_h.consistency_query(&queries.h_queries(), &mut prg);
         let commitments = (
-            CommitmentKey::<F61>::commit(&key_z.enc_r, &proof.z),
-            CommitmentKey::<F61>::commit(&key_h.enc_r, &proof.h),
+            CommitmentKey::<F61>::commit(&key_z.enc_r, &proof.z, &mut ProverWorkspace::new()),
+            CommitmentKey::<F61>::commit(&key_h.enc_r, &proof.h, &mut ProverWorkspace::new()),
         );
         let dz = decommit(&proof.z, &queries.z_queries(), &tz);
         let dh = decommit(&proof.h, &queries.h_queries(), &th);

@@ -1,17 +1,20 @@
-//! Reusable prover workspace for the staged pipeline.
+//! Reusable prover workspace for the one prover pipeline.
 //!
 //! Proving one instance walks four stages — **Witness** (combine the
 //! sparse QAP rows into per-constraint values), **Quotient** (the coset
 //! NTT kernel), **Commit** (homomorphic commitments), **Answer** (the
-//! blocked decommitment kernel) — and before this layer existed, every
-//! stage allocated its vectors fresh per instance. A batch of β
-//! instances therefore paid β× for buffers whose sizes are fixed by the
-//! computation, not the instance. [`ProverWorkspace`] owns a
-//! [`Scratch`] pool those stages lease from, so a worker thread pays
-//! for its transform and accumulator buffers once and reuses them for
-//! every instance it processes
-//! ([`prove_batch`](crate::runtime::prove_batch) builds one workspace
-//! per worker via `parallel_map_with`).
+//! blocked decommitment kernel). Every stage leases its buffers from
+//! the [`Scratch`] pools a [`ProverWorkspace`] owns, so a worker thread
+//! pays for its transform and accumulator buffers once and reuses them
+//! for every instance it processes
+//! ([`prove_batch_with_policy`](crate::runtime::prove_batch_with_policy)
+//! builds one workspace per worker via `parallel_map_with`).
+//!
+//! The stages are chunked: each reads its chunk length from the
+//! workspace's stamped [`ExecPolicy`] ([`ProverWorkspace::chunk_len`]),
+//! and every lease is a hard `try_take` against the workspace's
+//! [`MemBudget`]. Under an unlimited budget a lease is never refused,
+//! and [`Proving::Monolithic`] is simply the one-chunk geometry.
 //!
 //! Reuse is observable: `mem.scratch.hit` / `mem.scratch.miss` count
 //! pool traffic and the `mem.scratch.high_water` gauge bounds retained
@@ -19,7 +22,7 @@
 //! sessions on one workspace.
 
 use zaatar_mem::{MemBudget, Scratch};
-use zaatar_sched::ExecPolicy;
+use zaatar_sched::{ExecPolicy, Proving};
 
 /// Per-worker buffer pools for the staged prover pipeline. Cheap to
 /// construct (empty pools), deliberately `!Clone` (a workspace is
@@ -30,10 +33,9 @@ use zaatar_sched::ExecPolicy;
 /// Alongside the pools, the workspace carries the [`ExecPolicy`] under
 /// which its owner should execute — the same placement the
 /// [`MemBudget`] has. A server stamps both at workspace lease time
-/// (budget from the tenant config, policy from the scheduler), and the
-/// policied entry points (`compute_h_policied`,
-/// `instance_message_policied`) read the execution decisions from here
-/// instead of taking ad-hoc knob arguments.
+/// (budget from the tenant config, policy from the scheduler), and
+/// every pipeline stage reads its chunk length from here instead of
+/// taking a knob argument.
 pub struct ProverWorkspace<F> {
     scratch: Scratch<F>,
     /// Raw-word pool for the group layer: the commit and answer stages
@@ -42,8 +44,7 @@ pub struct ProverWorkspace<F> {
     /// bucket allocation across every commitment in a batch.
     group_scratch: Scratch<u64>,
     /// Execution decisions for work run against this workspace; defaults
-    /// to [`ExecPolicy::serial`], the exact behaviour of the
-    /// pre-scheduler entry points.
+    /// to [`ExecPolicy::serial`] (one worker, one covering chunk).
     policy: ExecPolicy,
 }
 
@@ -84,8 +85,8 @@ impl<F> ProverWorkspace<F> {
         self.group_scratch.set_budget(budget);
     }
 
-    /// Replaces the execution policy (effective on subsequent calls to
-    /// the policied entry points; in-flight work is unaffected).
+    /// Replaces the execution policy (effective on subsequent stage
+    /// calls; in-flight work is unaffected).
     pub fn set_policy(&mut self, policy: ExecPolicy) {
         self.policy = policy;
     }
@@ -93,6 +94,17 @@ impl<F> ProverWorkspace<F> {
     /// The execution policy stamped on this workspace.
     pub fn policy(&self) -> ExecPolicy {
         self.policy
+    }
+
+    /// The chunk length a pipeline stage uses for a vector of `len`
+    /// elements under the stamped policy: `len` itself (one covering
+    /// chunk, floor 1) for [`Proving::Monolithic`], the policy's chunk
+    /// length for [`Proving::Streamed`].
+    pub fn chunk_len(&self, len: usize) -> usize {
+        match self.policy.proving {
+            Proving::Monolithic => len.max(1),
+            Proving::Streamed { chunk_len } => chunk_len,
+        }
     }
 
     /// The budget enforced on the field pool (the group pool carries
@@ -103,8 +115,7 @@ impl<F> ProverWorkspace<F> {
 
     /// The larger of the two pools' own peak footprints — the
     /// per-workspace quantity the budget caps, and what the bench's
-    /// `stream` section compares between the monolithic and streaming
-    /// paths.
+    /// `stream` section compares between chunk geometries.
     pub fn high_water_bytes(&self) -> usize {
         self.scratch
             .high_water_bytes()
@@ -199,12 +210,14 @@ mod tests {
 
     #[test]
     fn policy_defaults_serial_and_is_replaceable() {
-        use zaatar_sched::Proving;
         let ws: ProverWorkspace<F61> = ProverWorkspace::new();
         assert_eq!(ws.policy(), ExecPolicy::serial());
+        assert_eq!(ws.chunk_len(100), 100, "one covering chunk");
+        assert_eq!(ws.chunk_len(0), 1);
         let mut ws = ProverWorkspace::<F61>::with_budget(MemBudget::bytes(1 << 20))
             .with_policy(ExecPolicy::streamed(64));
         assert_eq!(ws.policy().proving, Proving::Streamed { chunk_len: 64 });
+        assert_eq!(ws.chunk_len(100), 64);
         ws.set_policy(ExecPolicy::with_workers(4));
         assert_eq!(ws.policy().workers, 4);
         // Policy and budget are independent stamps on the same lease.

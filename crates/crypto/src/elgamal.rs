@@ -226,9 +226,13 @@ impl<F: HasGroup> ElGamal<F> {
         let g = Self::group();
         let mut acc1 = MsmAccumulator::new();
         let mut acc2 = MsmAccumulator::new();
-        let mut c1s: Vec<&[u64]> = Vec::with_capacity(chunk_len);
-        let mut c2s: Vec<&[u64]> = Vec::with_capacity(chunk_len);
-        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(chunk_len);
+        // A chunk never holds more pairs than the vector does, so a
+        // one-chunk call (`chunk_len >= len`, up to `usize::MAX`)
+        // reserves the vector's length, not the chunk's.
+        let cap = chunk_len.min(cts.len());
+        let mut c1s: Vec<&[u64]> = Vec::with_capacity(cap);
+        let mut c2s: Vec<&[u64]> = Vec::with_capacity(cap);
+        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(cap);
         for (ct_chunk, s_chunk) in cts.chunks(chunk_len).zip(scalars.chunks(chunk_len)) {
             c1s.clear();
             c2s.clear();
@@ -388,7 +392,7 @@ mod tests {
         let cts = Eg::encrypt_vec(kp.public(), &r, &mut prg);
         let mut scratch = Scratch::new();
         let reference = Eg::inner_product_scratch(&cts, &u, &mut scratch);
-        for chunk_len in [1usize, 3, 8, 17, 64] {
+        for chunk_len in [1usize, 3, 8, 17, 64, usize::MAX] {
             let chunked = Eg::inner_product_chunked(&cts, &u, chunk_len, &mut scratch);
             assert_eq!(chunked, reference, "chunk_len={chunk_len}");
         }

@@ -45,32 +45,6 @@ pub fn intt<F: PrimeField>(a: &mut [F]) {
     plan.inverse(a);
 }
 
-/// [`ntt`] under an explicit execution policy: shards butterfly passes
-/// across `workers` threads when the transform size is at or above
-/// `2^parallel_min_log2`, stays serial below it. This is the free-fn
-/// seam a scheduler-derived `ExecPolicy` threads its calibrated worker
-/// count and cutoff through; output bits are identical to [`ntt`] for
-/// every policy (worker count only changes butterfly visit order
-/// across independent butterflies).
-pub fn ntt_with_policy<F: PrimeField>(a: &mut [F], workers: usize, parallel_min_log2: u32) {
-    if a.len() <= 1 {
-        return;
-    }
-    let plan = plan_for_len::<F>(a.len());
-    let _span = zaatar_obs::time("poly.ntt.forward");
-    plan.forward_with_policy(a, workers, parallel_min_log2);
-}
-
-/// Policy counterpart of [`intt`]; see [`ntt_with_policy`].
-pub fn intt_with_policy<F: PrimeField>(a: &mut [F], workers: usize, parallel_min_log2: u32) {
-    if a.len() <= 1 {
-        return;
-    }
-    let plan = plan_for_len::<F>(a.len());
-    let _span = zaatar_obs::time("poly.ntt.inverse");
-    plan.inverse_with_policy(a, workers, parallel_min_log2);
-}
-
 /// Forward NTT sweeping each butterfly pass in cache-sized tiles (see
 /// [`crate::plan::NttPlan::forward_tiled`]): bit-identical output to
 /// [`ntt`], bounded per-pass working set. The streaming quotient kernel
@@ -242,22 +216,6 @@ mod tests {
         assert_eq!(a[3], expect);
         coset_intt(&mut a, g);
         assert_eq!(a, coeffs);
-    }
-
-    #[test]
-    fn policy_variants_are_bit_identical() {
-        let coeffs: Vec<F61> = (0..256u64).map(|i| F61::from_u64(i * 5 + 2)).collect();
-        let mut reference = coeffs.clone();
-        ntt(&mut reference);
-        // Serial, parallel-above-cutoff, and parallel-below-cutoff all
-        // produce the same bits — the policy only moves work around.
-        for (workers, cutoff) in [(1usize, 0u32), (4, 0), (4, 32)] {
-            let mut a = coeffs.clone();
-            ntt_with_policy(&mut a, workers, cutoff);
-            assert_eq!(a, reference, "forward workers={workers} cutoff={cutoff}");
-            intt_with_policy(&mut a, workers, cutoff);
-            assert_eq!(a, coeffs, "round trip workers={workers} cutoff={cutoff}");
-        }
     }
 
     #[test]

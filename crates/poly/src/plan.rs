@@ -31,10 +31,7 @@ use crate::parallel::parallel_map;
 
 /// Transforms with at least this many points shard their butterfly passes
 /// across threads; smaller ones stay serial (thread spawn/join overhead
-/// exceeds the butterfly work below ~16k points). This is the *default*
-/// cutoff — a scheduler-derived `ExecPolicy` carries a calibrated one,
-/// which [`NttPlan::forward_with_policy`] /
-/// [`NttPlan::inverse_with_policy`] take explicitly.
+/// exceeds the butterfly work below ~16k points).
 pub const PARALLEL_NTT_MIN_LOG2: u32 = 14;
 
 /// Default butterfly-tile size (log₂ points) for the tiled transforms:
@@ -127,17 +124,6 @@ impl<F: PrimeField> NttPlan<F> {
         self.transform(a, &self.fwd, workers);
     }
 
-    /// [`NttPlan::forward`] under an explicit policy: `workers` threads
-    /// when this plan's size is at or above `parallel_min_log2`, serial
-    /// below it. This is the seam a scheduler-derived `ExecPolicy`
-    /// threads its calibrated cutoff through instead of the hardcoded
-    /// [`PARALLEL_NTT_MIN_LOG2`] default. Worker count never changes
-    /// transform values — outputs are bit-identical across policies.
-    pub fn forward_with_policy(&self, a: &mut [F], workers: usize, parallel_min_log2: u32) {
-        let w = if self.log_n >= parallel_min_log2 { workers } else { 1 };
-        self.forward_with_workers(a, w);
-    }
-
     /// In-place inverse NTT: evaluations at `{ωʲ}` (natural order) →
     /// coefficients.
     ///
@@ -155,13 +141,6 @@ impl<F: PrimeField> NttPlan<F> {
         for x in a.iter_mut() {
             *x *= n_inv;
         }
-    }
-
-    /// Policy counterpart of [`NttPlan::inverse_with_workers`]; see
-    /// [`NttPlan::forward_with_policy`] for the cutoff contract.
-    pub fn inverse_with_policy(&self, a: &mut [F], workers: usize, parallel_min_log2: u32) {
-        let w = if self.log_n >= parallel_min_log2 { workers } else { 1 };
-        self.inverse_with_workers(a, w);
     }
 
     /// In-place forward NTT running each butterfly pass in tiles of at

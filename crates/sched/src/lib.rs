@@ -4,18 +4,16 @@
 //! The paper evaluates Zaatar *through* an analytic cost model (Fig. 3);
 //! `core::cost` reproduces that model, but until this crate nothing
 //! consumed it at runtime — worker counts came from a process-global env
-//! cache, the parallel-NTT cutoff was a hardcoded constant, and callers
-//! hand-picked streaming vs monolithic proving. This crate turns those
-//! five choices into one explicit seam:
+//! cache and callers hand-picked the prover's chunk geometry. This crate
+//! turns those choices into one explicit seam:
 //!
 //! * [`HostProfile`] — what the machine can do: parallelism, a one-time
 //!   measured thread spawn/join overhead, and the operator's
 //!   `ZAATAR_WORKERS` override (parsed here, once, with a
 //!   `sched.env.bad_override` counter on garbage instead of silence).
-//! * [`ExecPolicy`] — what one prover run will do: worker count, the
-//!   NTT parallel cutoff, packed vs serial answering, monolithic vs
-//!   streamed proving (with a derived chunk length), and an optional
-//!   MSM window override.
+//! * [`ExecPolicy`] — what one prover run will do: worker count and
+//!   the proving pipeline's chunk geometry (one covering chunk, or a
+//!   derived chunk length).
 //! * [`Scheduler`] — derives an [`ExecPolicy`] from the workload shape
 //!   (circuit size, batch size β, element width), a
 //!   [`zaatar_mem::MemBudget`], the host profile, and §5.1 micro costs.
@@ -32,28 +30,14 @@ use std::time::Instant;
 
 use zaatar_mem::MemBudget;
 
-/// The parallel-NTT cutoff policies fall back to when no scheduler ran:
-/// the value measured for the in-tree test field before the cutoff
-/// became policy (transforms at `log n >= 14` shard their passes).
-pub const DEFAULT_NTT_PARALLEL_MIN_LOG2: u32 = 14;
-
-/// Floor/ceiling for the derived NTT cutoff: below 2^10 a transform is
-/// too small for any fork to amortize on realistic hosts; above 2^20
-/// the work term dominates any plausible spawn overhead, so a larger
-/// cutoff would only ever disable parallelism that pays.
-const NTT_MIN_LOG2_RANGE: (u32, u32) = (10, 20);
-
-/// How many times the per-pass butterfly work must exceed the measured
-/// spawn overhead before the scheduler turns intra-NTT sharding on.
-/// Each sharded pass forks and joins once per worker; requiring 8x
-/// keeps the fork tax under ~12% of a pass even in the worst case.
-const NTT_SPAWN_AMORTIZATION: f64 = 8.0;
-
-/// Monolithic peak residency, in field elements per domain point: the
-/// witness vector, three staged A/B/C accumulators, and two 2n coset
-/// transform buffers, rounded up by the pool's power-of-two size
-/// classes. Measured: 81,920 B at n = 1024 and 327,680 B at n = 4096
-/// (8-byte elements) — exactly 10 n elements at both sizes.
+/// Peak residency charged to a one-chunk ([`Proving::Monolithic`]) run,
+/// in field elements per domain point: the residency measured for the
+/// staged pipeline the chunked one replaced (the witness vector, three
+/// A/B/C accumulators, and two 2n coset buffers, rounded up by the
+/// pool's power-of-two size classes — 81,920 B at n = 1024 and
+/// 327,680 B at n = 4096 with 8-byte elements, exactly 10 n elements at
+/// both sizes). It stays the decision threshold so every shape keeps
+/// the policy it was calibrated for; a one-chunk run now peaks lower.
 const MONO_PEAK_ELEMS_PER_POINT: usize = 10;
 
 /// Streamed-path floor, in elements per domain point: the chunked A/B/C
@@ -197,29 +181,17 @@ fn measure_spawn_overhead_ns() -> f64 {
     }
 }
 
-/// How a batch's query answers are produced: one serial pass per
-/// instance, or the packed matrix kernel sharded across the policy's
-/// workers. Both produce identical field values (the packed kernel's
-/// re-association is exact), so the choice is cost-only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Answering {
-    /// One serial answer pass per instance.
-    Serial,
-    /// The packed `BatchQuerySet` kernel across the policy's workers.
-    Packed,
-}
-
-/// How an instance's proof is constructed: the monolithic staged
-/// pipeline (fastest while its working set stays cache-resident, peak
-/// residency ~10 elements per domain point) or the chunked streaming
-/// pipeline (peak bounded near 7 elements per point plus the chunk).
+/// The chunk geometry of the prover pipeline. There is one pipeline —
+/// chunked stages with hard (`try_take`) leases — and this picks how
+/// long its chunks are: one chunk covering each vector (fastest while
+/// the working set stays cache-resident) or a fixed chunk length (peak
+/// residency bounded near 7 elements per domain point plus the chunk).
 /// Both produce byte-identical proofs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Proving {
-    /// Full-length stage buffers, soft (`take`) leases.
+    /// One chunk covering each vector (`chunk_len = n`).
     Monolithic,
-    /// Chunked stages with hard (`try_take`) leases of `chunk_len`
-    /// field elements at a time.
+    /// Chunks of `chunk_len` field elements.
     Streamed {
         /// Field elements per streamed chunk.
         chunk_len: usize,
@@ -231,45 +203,29 @@ pub enum Proving {
 /// workspace never changes the bytes any prover path produces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Worker threads for batch-level parallelism (`prove_batch`,
-    /// `answer_batch`). Call sites still clamp to the item count.
+    /// Worker threads for batch-level parallelism
+    /// (`prove_batch_with_policy`). Call sites still clamp to the item
+    /// count.
     pub workers: usize,
-    /// Transforms at `log n` at or above this shard their butterfly
-    /// passes; below it they stay serial.
-    pub ntt_parallel_min_log2: u32,
-    /// Serial vs packed query answering.
-    pub answering: Answering,
-    /// Monolithic vs streamed proof construction.
+    /// Chunk geometry of the prover pipeline.
     pub proving: Proving,
-    /// When set, forces the Pippenger MSM window width instead of the
-    /// length-derived heuristic — the seam for hosts whose bucket
-    /// scratch must be capped below the default. `None` keeps the
-    /// self-tuned width.
-    pub msm_window_bits_override: Option<usize>,
 }
 
 impl ExecPolicy {
-    /// The do-nothing-clever policy: one worker, serial answering,
-    /// monolithic proving, default NTT cutoff. Matches the behaviour
-    /// of every pre-policy serial entry point.
+    /// The do-nothing-clever policy: one worker, one covering chunk.
     pub fn serial() -> ExecPolicy {
         ExecPolicy::with_workers(1)
     }
 
-    /// A monolithic policy pinning `workers` (the legacy `prove_batch`
-    /// contract: explicit worker count, everything else default).
+    /// A one-chunk policy pinning `workers`.
     pub fn with_workers(workers: usize) -> ExecPolicy {
         ExecPolicy {
             workers: workers.max(1),
-            ntt_parallel_min_log2: DEFAULT_NTT_PARALLEL_MIN_LOG2,
-            answering: if workers > 1 { Answering::Packed } else { Answering::Serial },
             proving: Proving::Monolithic,
-            msm_window_bits_override: None,
         }
     }
 
-    /// A serial streamed policy pinning `chunk_len` (the legacy
-    /// `prove_batch_streamed` contract).
+    /// A serial policy pinning `chunk_len`.
     pub fn streamed(chunk_len: usize) -> ExecPolicy {
         ExecPolicy {
             proving: Proving::Streamed { chunk_len: chunk_len.max(1) },
@@ -379,16 +335,14 @@ impl Scheduler {
     pub fn policy(&self, shape: WorkloadShape, budget: MemBudget) -> ExecPolicy {
         ExecPolicy {
             workers: self.workers_for(shape),
-            ntt_parallel_min_log2: self.ntt_parallel_min_log2(),
-            answering: if shape.batch > 1 { Answering::Packed } else { Answering::Serial },
             proving: self.proving_for(shape, budget),
-            msm_window_bits_override: None,
         }
     }
 
-    /// Predicted monolithic-path peak workspace residency for `shape`,
-    /// in bytes (the v8 `stream` section's measured geometry: 10
-    /// elements per padded domain point).
+    /// Predicted monolithic peak workspace residency for `shape`, in
+    /// bytes (10 elements per padded domain point; see
+    /// `MONO_PEAK_ELEMS_PER_POINT`) — the threshold
+    /// [`Scheduler::proving_for`] compares against the budget.
     pub fn predicted_monolithic_peak_bytes(shape: WorkloadShape) -> usize {
         MONO_PEAK_ELEMS_PER_POINT * shape.padded_domain() * shape.elem_bytes
     }
@@ -433,25 +387,11 @@ impl Scheduler {
         best.0
     }
 
-    /// The `log2 n` at which intra-NTT pass sharding starts paying on
-    /// this host: the smallest size whose per-pass butterfly work
-    /// (~`n` multiplications at the calibrated `f`) covers the
-    /// measured spawn overhead [`NTT_SPAWN_AMORTIZATION`] times over,
-    /// clamped to a sane range. Cheap fields and slow spawns raise the
-    /// cutoff; expensive fields lower it.
-    pub fn ntt_parallel_min_log2(&self) -> u32 {
-        let mult_ns = (self.micro.f * 1e9).max(1e-3);
-        let cutoff_elems = (self.host.spawn_overhead_ns * NTT_SPAWN_AMORTIZATION) / mult_ns;
-        let log2 = cutoff_elems.max(1.0).log2().ceil() as u32;
-        log2.clamp(NTT_MIN_LOG2_RANGE.0, NTT_MIN_LOG2_RANGE.1)
-    }
-
-    /// Monolithic vs streamed proving for `shape` under `budget`:
-    /// streamed when the predicted monolithic peak would cross the
-    /// budget (the hard constraint), or — with room to spare — when
-    /// the working set falls out of cache, where the streamed
-    /// pipeline's tiled transforms are measurably faster. Otherwise
-    /// monolithic, which wins while cache-resident.
+    /// Chunk geometry for `shape` under `budget`: a derived chunk
+    /// length when the predicted monolithic peak would cross the budget
+    /// (the hard constraint), or — with room to spare — when the working
+    /// set falls out of cache, where chunks are measurably faster.
+    /// Otherwise one covering chunk, which wins while cache-resident.
     pub fn proving_for(&self, shape: WorkloadShape, budget: MemBudget) -> Proving {
         let peak = Scheduler::predicted_monolithic_peak_bytes(shape);
         let over_budget = budget.limit_bytes().is_some_and(|limit| peak > limit);
@@ -559,24 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn ntt_cutoff_rises_with_cheaper_mults_and_slower_spawns() {
-        let paper = Scheduler::new(HostProfile::synthetic(4, 20_000.0), MicroCosts::paper_128());
-        let slow_spawn =
-            Scheduler::new(HostProfile::synthetic(4, 2_000_000.0), MicroCosts::paper_128());
-        assert!(slow_spawn.ntt_parallel_min_log2() >= paper.ntt_parallel_min_log2());
-        // 220-bit mults are pricier than 128-bit: cutoff can only drop.
-        let p220 = Scheduler::new(HostProfile::synthetic(4, 20_000.0), MicroCosts::paper_220());
-        assert!(p220.ntt_parallel_min_log2() <= paper.ntt_parallel_min_log2());
-        // Both stay in the clamp range.
-        let lo = NTT_MIN_LOG2_RANGE.0;
-        let hi = NTT_MIN_LOG2_RANGE.1;
-        for s in [paper, slow_spawn, p220] {
-            let c = s.ntt_parallel_min_log2();
-            assert!((lo..=hi).contains(&c));
-        }
-    }
-
-    #[test]
     fn unlimited_budget_stays_monolithic_while_cache_resident() {
         // The bench's smaller stream size: n = 1024, predicted peak
         // 80 KiB — inside the 256 KiB cache threshold, so monolithic
@@ -636,12 +558,9 @@ mod tests {
         let s = Scheduler::new(HostProfile::synthetic(8, 20_000.0), MicroCosts::paper_128());
         let p = s.policy(shape(1024, 16), MemBudget::unlimited());
         assert!(p.workers > 1);
-        assert_eq!(p.answering, Answering::Packed);
         assert_eq!(p.proving, Proving::Monolithic);
-        assert_eq!(p.msm_window_bits_override, None);
         let p1 = s.policy(shape(1024, 1), MemBudget::unlimited());
         assert_eq!(p1.workers, 1);
-        assert_eq!(p1.answering, Answering::Serial);
     }
 
     #[test]
@@ -649,11 +568,9 @@ mod tests {
         let serial = ExecPolicy::serial();
         assert_eq!(serial.workers, 1);
         assert_eq!(serial.proving, Proving::Monolithic);
-        assert_eq!(serial.answering, Answering::Serial);
-        assert_eq!(serial.ntt_parallel_min_log2, DEFAULT_NTT_PARALLEL_MIN_LOG2);
         let par = ExecPolicy::with_workers(8);
         assert_eq!(par.workers, 8);
-        assert_eq!(par.answering, Answering::Packed);
+        assert_eq!(par.proving, Proving::Monolithic);
         let st = ExecPolicy::streamed(64);
         assert_eq!(st.proving, Proving::Streamed { chunk_len: 64 });
         assert_eq!(st.workers, 1);

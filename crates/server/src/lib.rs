@@ -2,15 +2,19 @@
 //! one nonblocking poll loop.
 //!
 //! `zaatar_core::run_session_prover` drives exactly one verifier over
-//! one transport and returns when that verifier goes away — fine for a
-//! benchmark, useless for the ROADMAP's "millions of users" north star.
-//! This crate lifts the same protocol (and the same graceful-degradation
-//! philosophy) from one connection to a fleet of them:
+//! one transport and blocks until that verifier goes away. This crate
+//! serves a fleet of connections instead. The protocol itself is not
+//! re-implemented here: each session owns one
+//! [`zaatar_core::ServingSession`] — the same frame-at-a-time state
+//! machine the blocking loop drives — so a frame gets the same reply
+//! bytes whichever loop serves it. What the server adds is everything
+//! around the state machine:
 //!
 //! * [`SessionServer`] — a single-threaded poll loop multiplexing any
 //!   number of framed connections. Each sweep gives every session at
 //!   most [`ServerConfig::frames_per_sweep`] frames of attention, so a
-//!   slow-loris client costs one poll per sweep, never the loop.
+//!   slow-loris client costs one poll per sweep, never the loop; idle
+//!   and closed connections end the session with a typed outcome.
 //! * **Workspace pool** — every admitted session leases a
 //!   [`ProverWorkspace`] from a bounded [`WorkspacePool`]; release on
 //!   any terminal state (graceful or not) is structural, so a session
@@ -37,8 +41,8 @@ use std::time::{Duration, Instant};
 
 use zaatar_core::runtime::{errcode, msg};
 use zaatar_core::{
-    parse_instance_index, ExecPolicy, HeteroSessionProver, HostProfile, MemBudget, MicroParams,
-    ProverWorkspace, Scheduler, SessionError, WorkloadShape, ZaatarProof,
+    ExecPolicy, HostProfile, MemBudget, MicroParams, ProverWorkspace, Scheduler, ServingSession,
+    SessionError, Step, WorkloadShape, ZaatarProof,
 };
 use zaatar_core::pcp::ZaatarPcp;
 use zaatar_crypto::HasGroup;
@@ -207,20 +211,11 @@ pub struct ServerStats {
     pub per_tenant: BTreeMap<String, TenantStats>,
 }
 
-/// Per-session protocol position.
-enum SessionPhase {
-    /// No valid setup yet; instance requests get `ERROR(NO_SETUP)`.
-    AwaitingSetup,
-    /// Setup accepted; serving instance responses.
-    Serving,
-}
-
 struct Session<'p, F: PrimeField + HasGroup, D: EvalDomain<F>> {
     transport: FramedTransport<BoxedLink>,
-    prover: HeteroSessionProver<'p, F, D>,
-    cache: Vec<Option<Vec<u8>>>,
+    /// The protocol state: endpoint, response cache, and phase.
+    serving: ServingSession<'p, F, D>,
     ws: Option<ProverWorkspace<F>>,
-    phase: SessionPhase,
     budget: DeadlineBudget,
     last_activity: Instant,
     started: Instant,
@@ -409,10 +404,8 @@ where
             id,
             Session {
                 transport,
-                prover: HeteroSessionProver::new(&self.pcps, &self.circuit_ids),
-                cache: vec![None; self.proofs.len()],
+                serving: ServingSession::new(&self.pcps, &self.circuit_ids, self.proofs),
                 ws: Some(ws),
-                phase: SessionPhase::AwaitingSetup,
                 budget: DeadlineBudget::new(self.config.session_budget),
                 last_activity: now,
                 started: now,
@@ -433,7 +426,7 @@ where
         let ids: Vec<SessionId> = self.sessions.keys().copied().collect();
         for id in ids {
             let session = self.sessions.get_mut(&id).expect("live session");
-            let (sweep, frames) = Self::sweep_session(session, self.proofs, &self.config);
+            let (sweep, frames) = Self::sweep_session(session, &self.config);
             self.stats.frames_processed += frames;
             if let Sweep::Done(outcome) = sweep {
                 // Measure pressure while the dying session's workspace
@@ -496,12 +489,20 @@ where
     }
 
     /// Drives one session for up to `frames_per_sweep` frames; returns
-    /// the sweep verdict and how many valid frames were consumed.
-    fn sweep_session(
-        session: &mut Session<'p, F, D>,
-        proofs: &'p [ZaatarProof<F>],
-        config: &ServerConfig,
-    ) -> (Sweep, u64) {
+    /// the sweep verdict and how many valid frames were consumed. Each
+    /// frame goes to the session's [`ServingSession`]; this loop owns
+    /// only deadlines, idle handling, and transport errors.
+    fn sweep_session(session: &mut Session<'p, F, D>, config: &ServerConfig) -> (Sweep, u64) {
+        // The peer hanging up after a setup is the protocol's "done"
+        // for verifiers that skip the DONE frame; before any setup it
+        // is a failure.
+        let hung_up = |session: &Session<'p, F, D>| {
+            if session.serving.setup_seen() {
+                SessionOutcome::Served
+            } else {
+                SessionOutcome::Failed(SessionError::Transport(TransportError::Closed))
+            }
+        };
         let mut frames = 0u64;
         for _ in 0..config.frames_per_sweep.max(1) {
             // Deadlines are enforced at frame boundaries: an expired
@@ -519,25 +520,16 @@ where
                     // Nothing ready. Idle-out if quiet too long; the
                     // outcome depends on whether a setup ever landed.
                     if session.last_activity.elapsed() >= config.idle_timeout {
-                        let outcome = match session.phase {
-                            SessionPhase::Serving => SessionOutcome::Served,
-                            SessionPhase::AwaitingSetup => SessionOutcome::Expired,
+                        let outcome = if session.serving.setup_seen() {
+                            SessionOutcome::Served
+                        } else {
+                            SessionOutcome::Expired
                         };
                         return (Sweep::Done(outcome), frames);
                     }
                     return (Sweep::Continue, frames);
                 }
-                // The peer hanging up after a setup is the protocol's
-                // "done" for verifiers that skip the DONE frame.
-                Err(TransportError::Closed) => {
-                    let outcome = match session.phase {
-                        SessionPhase::Serving => SessionOutcome::Served,
-                        SessionPhase::AwaitingSetup => {
-                            SessionOutcome::Failed(SessionError::Transport(TransportError::Closed))
-                        }
-                    };
-                    return (Sweep::Done(outcome), frames);
-                }
+                Err(TransportError::Closed) => return (Sweep::Done(hung_up(session)), frames),
                 Err(e) => {
                     return (Sweep::Done(SessionOutcome::Failed(SessionError::Transport(e))), frames)
                 }
@@ -545,66 +537,18 @@ where
             frames += 1;
             session.last_activity = Instant::now();
             session.last_seq = frame.seq;
-            let reply = match frame.msg_type {
-                msg::SETUP | msg::HSETUP => {
-                    // Legacy SETUP keeps its single-circuit byte path;
-                    // HSETUP carries the multi-circuit layout.
-                    let received = if frame.msg_type == msg::HSETUP {
-                        session.prover.receive_setup(&frame.payload)
-                    } else {
-                        session.prover.receive_legacy_setup(&frame.payload)
-                    };
-                    match received {
-                        Ok(()) => {
-                            // A (re)setup invalidates responses cached
-                            // under the previous one.
-                            session.cache.iter_mut().for_each(|slot| *slot = None);
-                            session.phase = SessionPhase::Serving;
-                            Frame::new(msg::SETUP_ACK, frame.seq, Vec::new())
-                        }
-                        Err(_) => Frame::new(msg::ERROR, frame.seq, vec![errcode::MALFORMED]),
-                    }
-                }
-                msg::INSTANCE_REQ => match parse_instance_index(&frame.payload, proofs.len()) {
-                    Err(code) => Frame::new(msg::ERROR, frame.seq, vec![code]),
-                    Ok(idx) => {
-                        let ws = session.ws.as_mut().expect("live session owns a workspace");
-                        let cached = match &session.cache[idx] {
-                            Some(bytes) => Ok(bytes.clone()),
-                            // Policy-dispatched: the workspace's stamp
-                            // decides monolithic vs streamed commitments;
-                            // bytes on the wire are identical either way.
-                            None => session
-                                .prover
-                                .instance_message_policied(idx, &proofs[idx], ws)
-                                .inspect(|bytes| session.cache[idx] = Some(bytes.clone())),
-                        };
-                        match cached {
-                            Ok(bytes) => Frame::new(msg::INSTANCE_RESP, frame.seq, bytes),
-                            Err(SessionError::SetupNotReceived) => {
-                                Frame::new(msg::ERROR, frame.seq, vec![errcode::NO_SETUP])
-                            }
-                            Err(e) => return (Sweep::Done(SessionOutcome::Failed(e)), frames),
-                        }
-                    }
-                },
-                msg::DONE => return (Sweep::Done(SessionOutcome::Served), frames),
-                // Unknown frame types: ignore, per the runtime loop.
-                _ => continue,
+            let ws = session.ws.as_mut().expect("live session owns a workspace");
+            let reply = match session.serving.handle(&frame, ws) {
+                Ok(Step::Reply(reply)) => reply,
+                Ok(Step::Done) => return (Sweep::Done(SessionOutcome::Served), frames),
+                Ok(Step::Ignored) => continue,
+                Err(e) => return (Sweep::Done(SessionOutcome::Failed(e)), frames),
             };
             match session.transport.send(&reply) {
                 Ok(()) => {}
                 // A response the peer will never read is the Closed
                 // path with extra steps.
-                Err(TransportError::Closed) => {
-                    let outcome = match session.phase {
-                        SessionPhase::Serving => SessionOutcome::Served,
-                        SessionPhase::AwaitingSetup => {
-                            SessionOutcome::Failed(SessionError::Transport(TransportError::Closed))
-                        }
-                    };
-                    return (Sweep::Done(outcome), frames);
-                }
+                Err(TransportError::Closed) => return (Sweep::Done(hung_up(session)), frames),
                 Err(e) => {
                     return (Sweep::Done(SessionOutcome::Failed(SessionError::Transport(e))), frames)
                 }

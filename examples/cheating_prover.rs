@@ -19,6 +19,7 @@ use zaatar::core::argument::run_batched_argument;
 use zaatar::core::commit::{decommit, CommitmentKey};
 use zaatar::core::pcp::{PcpParams, ZaatarPcp};
 use zaatar::core::qap::Qap;
+use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, F128};
 
@@ -75,7 +76,8 @@ fn main() {
     // z but answer queries from a different vector.
     let mut prg = ChaChaPrg::from_u64_seed(99);
     let key = CommitmentKey::<F128>::generate(honest.z.len(), &mut prg);
-    let commitment = CommitmentKey::<F128>::commit(&key.enc_r, &honest.z);
+    let commitment =
+        CommitmentKey::<F128>::commit(&key.enc_r, &honest.z, &mut ProverWorkspace::new());
     let queries: Vec<Vec<F128>> = (0..4).map(|_| prg.field_vec(honest.z.len())).collect();
     let qrefs: Vec<&[F128]> = queries.iter().map(|q| q.as_slice()).collect();
     let (t, alphas) = key.consistency_query(&qrefs, &mut prg);

@@ -5,15 +5,19 @@
 //! the same ChaCha seed. Field addition is exact, so re-association in
 //! the blocked kernel cannot change any sum — this test pins that
 //! guarantee at the serialization level, across worker counts, seeds,
-//! and the session-prover wire path.
+//! and the session-prover wire path. The same lockdown covers the one
+//! prover pipeline's chunk geometries: one covering chunk, an even
+//! split, and a ragged tail must all produce identical transcripts.
 
 use zaatar::cc::Builder;
 use zaatar::core::commit::{decommit, decommit_packed};
 use zaatar::core::pcp::{BatchQuerySet, PcpResponses, ZaatarPcp, ZaatarProof};
 use zaatar::core::qap::QapWitness;
-use zaatar::core::runtime::{answer_batch, prove_batch, prove_batch_streamed, prove_batch_with};
+use zaatar::core::parallel::parallel_map;
+use zaatar::core::runtime::prove_batch_with_policy;
 use zaatar::core::session::{SessionProver, SessionVerifier};
 use zaatar::core::workspace::ProverWorkspace;
+use zaatar::core::{ExecPolicy, MemBudget, Scheduler, WorkloadShape};
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, PrimeField, F61};
 use zaatar::poly::Radix2Domain;
@@ -53,6 +57,20 @@ fn fixture(inputs: &[[i64; 2]]) -> (Pcp, Vec<ZaatarProof<F61>>, Vec<Vec<F61>>) {
     (fx.pcp, fx.proofs, fx.ios)
 }
 
+/// Proves every witness serially on one caller-owned workspace, at the
+/// chunk length its stamped policy selects — a long-lived prover's
+/// batch loop.
+fn prove_on(
+    pcp: &Pcp,
+    witnesses: &[QapWitness<F61>],
+    ws: &mut ProverWorkspace<F61>,
+) -> Vec<Option<ZaatarProof<F61>>> {
+    witnesses
+        .iter()
+        .map(|w| pcp.prove_with(w, ws).expect("an unbudgeted workspace admits every lease"))
+        .collect()
+}
+
 fn response_bytes(r: &PcpResponses<F61>) -> Vec<u8> {
     r.z_answers
         .iter()
@@ -87,7 +105,8 @@ fn batched_answers_byte_identical_to_serial() {
     }
 }
 
-/// The runtime's parallel batch answering agrees with the serial path
+/// Answering a batch's instances across worker threads, each off the
+/// one packed query set, agrees with the serial path
 /// instance-for-instance.
 #[test]
 fn runtime_answer_batch_matches_serial() {
@@ -98,7 +117,7 @@ fn runtime_answer_batch_matches_serial() {
     let serial: Vec<_> = proofs.iter().map(|p| pcp.answer(p, &queries)).collect();
     let batch = BatchQuerySet::new(queries);
     for workers in [1usize, 4] {
-        let batched = answer_batch(&batch, &proofs, workers);
+        let batched = parallel_map(proofs.iter().collect(), workers, |p| batch.answer(p, 1));
         assert_eq!(batched.len(), serial.len());
         for (b, s) in batched.iter().zip(&serial) {
             assert_eq!(response_bytes(b), response_bytes(s), "workers {workers}");
@@ -169,7 +188,7 @@ fn session_prover_packed_path_round_trips() {
         let mut verdicts = Vec::new();
         let mut messages = Vec::new();
         for (p, io) in proofs.iter().zip(&ios) {
-            let msg = prover.instance_message(p).unwrap();
+            let msg = prover.instance_message(p, &mut ProverWorkspace::new()).unwrap();
             verdicts.push(verifier.verify_instance(&msg, io).unwrap());
             messages.push(msg);
         }
@@ -184,8 +203,9 @@ fn session_prover_packed_path_round_trips() {
 }
 
 /// The full session wire transcript (setup message + every instance
-/// message) under workspace reuse. Returns the concatenated frames so
-/// differential tests compare at the byte level.
+/// message) served over `ws`, at the chunk length its stamped policy
+/// selects. Returns the messages so differential tests compare at the
+/// byte level.
 fn session_transcript(
     pcp: &Pcp,
     proofs: &[Option<ZaatarProof<F61>>],
@@ -201,7 +221,7 @@ fn session_transcript(
     let mut transcript = vec![setup];
     for (p, io) in proofs.iter().zip(ios) {
         let p = p.as_ref().expect("fixture witnesses satisfy the system");
-        let msg = prover.instance_message_with(p, ws).unwrap();
+        let msg = prover.instance_message(p, ws).unwrap();
         assert!(verifier.verify_instance(&msg, io).unwrap());
         transcript.push(msg);
     }
@@ -209,8 +229,8 @@ fn session_transcript(
 }
 
 /// Tentpole lockdown: proving through reused workspaces — per-worker
-/// pools in `prove_batch`, one serial pool in `prove_batch_with`, and a
-/// session-long Answer-stage pool — produces session wire transcripts
+/// pools in `prove_batch_with_policy`, one serial pool reused across a
+/// batch, and a session-long Answer-stage pool — produces session wire transcripts
 /// **byte-identical** to the fresh-allocation path, across seeds, batch
 /// sizes β ∈ {1, 4, 16}, and worker counts. Field arithmetic is exact
 /// and buffer identity never reaches the wire, so any divergence here
@@ -228,7 +248,13 @@ fn workspace_reuse_transcripts_byte_identical_to_fresh() {
             let reference =
                 session_transcript(&pcp, &fresh, &ios, seed, &mut ProverWorkspace::new());
             for workers in [1usize, 2, 8] {
-                let proofs = prove_batch(&pcp, &witnesses, workers);
+                let proofs = prove_batch_with_policy(
+                    &pcp,
+                    &witnesses,
+                    &ExecPolicy::with_workers(workers),
+                    MemBudget::unlimited(),
+                )
+                .expect("an unlimited budget admits every lease");
                 let mut ws = ProverWorkspace::new();
                 let transcript = session_transcript(&pcp, &proofs, &ios, seed, &mut ws);
                 assert_eq!(
@@ -239,7 +265,7 @@ fn workspace_reuse_transcripts_byte_identical_to_fresh() {
             // Serial path over one long-lived workspace, reused for
             // both proving and answering.
             let mut ws = ProverWorkspace::new();
-            let proofs = prove_batch_with(&pcp, &witnesses, &mut ws);
+            let proofs = prove_on(&pcp, &witnesses, &mut ws);
             let transcript = session_transcript(&pcp, &proofs, &ios, seed, &mut ws);
             assert_eq!(transcript, reference, "β={beta}, seed={seed}, serial ws");
         }
@@ -256,7 +282,7 @@ fn workspace_footprint_bounded_across_sessions() {
     let (pcp, witnesses, ios) = fixture_witnesses(&inputs);
     let mut ws = ProverWorkspace::new();
     let run = |ws: &mut ProverWorkspace<F61>| {
-        let proofs = prove_batch_with(&pcp, &witnesses, ws);
+        let proofs = prove_on(&pcp, &witnesses, ws);
         session_transcript(&pcp, &proofs, &ios, 0xcafe, ws)
     };
     let first = run(&mut ws);
@@ -288,40 +314,14 @@ fn workspace_footprint_bounded_across_sessions() {
     assert_eq!(run(&mut ws), first);
 }
 
-/// [`session_transcript`] through the streaming prover path:
-/// commitments feed the MSM `chunk_len` scalars at a time and the
-/// Answer-stage buffers are budget-checked leases.
-fn session_transcript_streamed(
-    pcp: &Pcp,
-    proofs: &[Option<ZaatarProof<F61>>],
-    ios: &[Vec<F61>],
-    seed: u64,
-    chunk_len: usize,
-    ws: &mut ProverWorkspace<F61>,
-) -> Vec<Vec<u8>> {
-    let mut prg = ChaChaPrg::from_u64_seed(seed);
-    let mut verifier = SessionVerifier::new(pcp, &mut prg);
-    let mut prover = SessionProver::new(pcp);
-    let setup = verifier.setup_message().unwrap();
-    prover.receive_setup(&setup).unwrap();
-    let mut transcript = vec![setup];
-    for (p, io) in proofs.iter().zip(ios) {
-        let p = p.as_ref().expect("fixture witnesses satisfy the system");
-        let msg = prover.instance_message_streamed(p, chunk_len, ws).unwrap();
-        assert!(verifier.verify_instance(&msg, io).unwrap());
-        transcript.push(msg);
-    }
-    transcript
-}
-
-/// PR 9 tentpole lockdown: the streaming chunked pipeline — chunked
-/// Witness accumulators, the drained coset quotient kernel, and
-/// chunk-fed MSM commitments — produces session wire transcripts
-/// **byte-identical** to the monolithic path for every chunk geometry:
-/// one covering chunk, an even two-way split, and a ragged tail that
-/// divides nothing. Field arithmetic is exact and the streaming stages
-/// replay the monolithic per-slot operation order, so any divergence
-/// here is a bug in the chunk walking.
+/// Chunk-geometry lockdown: the one prover pipeline — chunked Witness
+/// accumulators, the drained coset quotient kernel, and chunk-fed MSM
+/// commitments — produces session wire transcripts **byte-identical**
+/// to the default one-chunk reference (fresh workspaces, `pcp.prove`)
+/// for every chunk geometry stamped on a reused workspace: one covering
+/// chunk, an even two-way split, and a ragged tail that divides
+/// nothing. Field arithmetic is exact and the per-slot operation order
+/// is fixed, so any divergence here is a bug in the chunk walking.
 #[test]
 fn streaming_prove_transcripts_byte_identical_across_chunk_sizes() {
     for beta in [1usize, 4, 16] {
@@ -335,11 +335,9 @@ fn streaming_prove_transcripts_byte_identical_across_chunk_sizes() {
                 session_transcript(&pcp, &fresh, &ios, seed, &mut ProverWorkspace::new());
             // One covering chunk, an even split, and a ragged tail.
             for chunk_len in [n, n.div_ceil(2), 7] {
-                let mut ws = ProverWorkspace::new();
-                let proofs = prove_batch_streamed(&pcp, &witnesses, chunk_len, &mut ws)
-                    .expect("an unbudgeted workspace admits every lease");
-                let transcript =
-                    session_transcript_streamed(&pcp, &proofs, &ios, seed, chunk_len, &mut ws);
+                let mut ws = ProverWorkspace::new().with_policy(ExecPolicy::streamed(chunk_len));
+                let proofs = prove_on(&pcp, &witnesses, &mut ws);
+                let transcript = session_transcript(&pcp, &proofs, &ios, seed, &mut ws);
                 assert_eq!(
                     transcript, reference,
                     "β={beta}, seed={seed}, chunk_len={chunk_len}"
@@ -369,13 +367,15 @@ fn bench_chain_fixture(chain: usize, batch: usize) -> (Pcp, Vec<QapWitness<F61>>
     (fx.pcp, fx.witnesses, fx.ios)
 }
 
-/// PR 9 leak + budget guard at scale: a circuit ≥ 16× the bench
-/// baseline's workload (bench runs chain = 160 → domain 512; this runs
-/// chain = 2560 → domain 8192) proves through the streaming pipeline
-/// under a hard budget **below the monolithic path's measured peak**,
-/// across 100 back-to-back sessions on one workspace — no
-/// `BudgetExceeded`, no footprint creep, and the per-session bytes
-/// stay identical to the monolithic reference throughout.
+/// Leak + budget guard at scale: a circuit ≥ 16× the bench baseline's
+/// workload (bench runs chain = 160 → domain 512; this runs chain =
+/// 2560 → domain 16384) proves at a 512-element chunk length under a
+/// hard budget of three quarters of the scheduler's predicted
+/// monolithic peak (10 elements per domain point — the residency of the
+/// staged pipeline the chunked one replaced, measured at 1,311,232 B on
+/// this circuit), across 100 back-to-back sessions on one workspace —
+/// no `BudgetExceeded`, no footprint creep, and per-session bytes
+/// identical to the one-chunk reference throughout.
 #[test]
 fn streaming_leak_guard_high_water_under_budget_at_16x_bench() {
     let (pcp, witnesses, ios) = bench_chain_fixture(2560, 1);
@@ -392,26 +392,32 @@ fn streaming_leak_guard_high_water_under_budget_at_16x_bench() {
     let setup = verifier.setup_message().unwrap();
     prover.receive_setup(&setup).unwrap();
 
-    // Yardstick: the monolithic path's peak residency on this circuit.
-    let mut mono = ProverWorkspace::new();
-    let mono_proofs = prove_batch_with(&pcp, &witnesses, &mut mono);
-    let mono_proof = mono_proofs[0].as_ref().expect("honest witness");
-    let reference = prover.instance_message_with(mono_proof, &mut mono).unwrap();
+    // Reference bytes: the default one-chunk geometry, unbudgeted.
+    let mut one_chunk = ProverWorkspace::new();
+    let proofs = prove_on(&pcp, &witnesses, &mut one_chunk);
+    let proof = proofs[0].as_ref().expect("honest witness");
+    let reference = prover.instance_message(proof, &mut one_chunk).unwrap();
     assert!(verifier.verify_instance(&reference, &ios[0]).unwrap());
-    let mono_peak = mono.high_water_bytes();
-    assert!(mono_peak > 0);
 
-    // The streaming budget: strictly below what monolithic needed, so
-    // passing under it is evidence of an actual residency reduction,
-    // not just of a generous cap.
+    // The budget: well below the monolithic residency the scheduler
+    // still prices, so passing under it is evidence of an actual
+    // residency bound, not just of a generous cap.
+    let shape = WorkloadShape {
+        domain_size: pcp.qap().degree(),
+        batch: 1,
+        elem_bytes: std::mem::size_of::<F61>(),
+    };
+    let mono_peak = Scheduler::predicted_monolithic_peak_bytes(shape);
     let budget = mono_peak * 3 / 4;
-    let mut ws = ProverWorkspace::with_budget(zaatar::core::MemBudget::bytes(budget));
+    let mut ws = ProverWorkspace::with_budget(MemBudget::bytes(budget))
+        .with_policy(ExecPolicy::streamed(chunk_len));
     for session in 0..100 {
-        let proofs = prove_batch_streamed(&pcp, &witnesses, chunk_len, &mut ws)
-            .unwrap_or_else(|e| panic!("session {session}: budget refused a lease: {e}"));
-        let proof = proofs[0].as_ref().expect("honest witness");
+        let proof = pcp
+            .prove_with(&witnesses[0], &mut ws)
+            .unwrap_or_else(|e| panic!("session {session}: budget refused a lease: {e}"))
+            .expect("honest witness");
         let msg = prover
-            .instance_message_streamed(proof, chunk_len, &mut ws)
+            .instance_message(&proof, &mut ws)
             .unwrap_or_else(|e| panic!("session {session}: {e}"));
         assert_eq!(msg, reference, "session {session}: wire bytes diverged");
     }
@@ -422,6 +428,6 @@ fn streaming_leak_guard_high_water_under_budget_at_16x_bench() {
     );
     assert!(
         peak < mono_peak,
-        "streaming peak {peak} must undercut the monolithic peak {mono_peak}"
+        "chunked peak {peak} must undercut the monolithic peak {mono_peak}"
     );
 }

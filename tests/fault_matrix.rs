@@ -22,6 +22,7 @@ use zaatar_core::runtime::{
     run_session_verifier, VerifyOutcome,
 };
 use zaatar_core::testutil::{mul_eq_fixture, mul_fixture, CircuitFixture};
+use zaatar_core::workspace::ProverWorkspace;
 use zaatar_core::{
     HeteroSessionVerifier, SessionProver, SessionVerifier, HETERO_PRG_STREAM_BASE,
 };
@@ -497,7 +498,7 @@ fn hetero_responses_byte_identical_to_isolated_reference() {
                 continue;
             }
             let expected = ref_prover
-                .instance_message(&fx.proofs[idx])
+                .instance_message(&fx.proofs[idx], &mut ProverWorkspace::new())
                 .expect("reference prover answers");
             assert_eq!(
                 responses[idx], expected,

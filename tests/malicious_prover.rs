@@ -28,6 +28,7 @@ use zaatar::core::commit::{decommit, decommit_packed, CommitmentKey, Decommitmen
 use zaatar::core::pcp::{PcpParams, ZaatarProof};
 use zaatar::core::qap::QapWitness;
 use zaatar::core::testutil::{circuit_fixture_with, CircuitFixture as Fixture, TestPcp as Pcp};
+use zaatar::core::workspace::ProverWorkspace;
 use zaatar::cc::Builder;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, F61};
@@ -91,8 +92,8 @@ fn run_batch(fx: &Fixture, slots: &[Slot], seed: u64, batched: bool) -> Vec<bool
         .iter()
         .map(|s| {
             (
-                CommitmentKey::<F61>::commit(&enc_z, &s.committed.z),
-                CommitmentKey::<F61>::commit(&enc_h, &s.committed.h),
+                CommitmentKey::<F61>::commit(&enc_z, &s.committed.z, &mut ProverWorkspace::new()),
+                CommitmentKey::<F61>::commit(&enc_h, &s.committed.h, &mut ProverWorkspace::new()),
             )
         })
         .collect();

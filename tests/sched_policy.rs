@@ -1,20 +1,19 @@
-//! Scheduler policy lockdown: (1) the monolithic-vs-streaming decision
-//! is the policy's to make, with the boundary pinned where the bench
-//! measured it; (2) policy dispatch is **byte-transparent** — every
-//! combination of workers, answering mode, and proving pipeline
-//! produces transcripts identical to the serial monolithic reference.
-//! A policy changes where and when work happens (threads, chunks),
-//! never the field/group values that reach the wire.
+//! Scheduler policy lockdown: (1) the chunk-geometry decision (one
+//! covering chunk vs a derived chunk length) is the policy's to make,
+//! with the boundary pinned where the bench measured it; (2) policies
+//! are **byte-transparent** — every combination of workers and chunk
+//! geometry produces transcripts identical to the serial one-chunk
+//! reference. A policy changes where and when work happens (threads,
+//! chunks), never the field/group values that reach the wire.
 
-use zaatar::core::runtime::{answer_batch, answer_batch_with_policy, prove_batch_with_policy};
+use zaatar::core::parallel::parallel_map;
+use zaatar::core::runtime::prove_batch_with_policy;
 use zaatar::core::session::{SessionProver, SessionVerifier};
 use zaatar::core::testutil::mul_fixture;
 use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::mem::MemBudget;
-use zaatar::sched::{
-    Answering, ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape,
-};
+use zaatar::sched::{ExecPolicy, HostProfile, MicroCosts, Proving, Scheduler, WorkloadShape};
 
 fn shape(domain_size: usize) -> WorkloadShape {
     WorkloadShape { domain_size, batch: 1, elem_bytes: 8 }
@@ -71,16 +70,12 @@ fn scheduled_workers_never_exceed_batch_or_host() {
             MemBudget::unlimited(),
         );
         assert!(p.workers <= 8.min(beta.max(1)));
-        assert_eq!(
-            p.answering,
-            if beta > 1 { Answering::Packed } else { Answering::Serial }
-        );
     }
 }
 
 /// The differential: proofs, batched answers, and session wire bytes
-/// must be identical across every policy — workers x answering x
-/// proving — for several seeds and batch sizes.
+/// must be identical across every policy — workers x chunk geometry —
+/// for several seeds and batch sizes.
 #[test]
 fn transcripts_byte_identical_across_policies() {
     for beta in [1usize, 4, 16] {
@@ -88,7 +83,7 @@ fn transcripts_byte_identical_across_policies() {
         let fx = mul_fixture(&inputs);
         let domain = fx.pcp.qap().degree();
 
-        // Reference: the serial monolithic pipeline over one workspace.
+        // Reference: the serial one-chunk pipeline over fresh workspaces.
         let reference = &fx.proofs;
 
         let mut policies = vec![
@@ -97,13 +92,11 @@ fn transcripts_byte_identical_across_policies() {
             ExecPolicy::streamed(16),
             ExecPolicy::streamed(domain.next_power_of_two()),
         ];
-        // Cross answering modes into the matrix explicitly.
+        // Cross worker counts into the matrix explicitly.
         let mut crossed = Vec::new();
         for p in &policies {
-            for answering in [Answering::Serial, Answering::Packed] {
-                for workers in [1usize, 4] {
-                    crossed.push(ExecPolicy { answering, workers, ..*p });
-                }
+            for workers in [1usize, 4] {
+                crossed.push(ExecPolicy { workers, ..*p });
             }
         }
         policies.append(&mut crossed);
@@ -124,17 +117,19 @@ fn transcripts_byte_identical_across_policies() {
                 assert_eq!(got.h, want.h, "policy {policy:?} changed proof h");
             }
 
-            // Answering: identical responses off the same query seed.
+            // Answering: identical responses off the same query seed,
+            // with instances spread over the policy's workers.
             for seed in [0u64, 0x5eed] {
                 let mut prg = ChaChaPrg::from_u64_seed(seed);
                 let batch = fx.pcp.generate_batch_queries(&mut prg);
-                let serial = answer_batch(&batch, reference, 1);
-                let policied = answer_batch_with_policy(&batch, reference, policy);
-                assert_eq!(serial, policied, "policy {policy:?} changed answers");
+                let serial: Vec<_> = reference.iter().map(|p| batch.answer(p, 1)).collect();
+                let spread =
+                    parallel_map(reference.iter().collect(), policy.workers, |p| batch.answer(p, 1));
+                assert_eq!(serial, spread, "policy {policy:?} changed answers");
             }
 
-            // Session wire bytes: the policied serving path emits the
-            // same bytes a plain monolithic serve would.
+            // Session wire bytes: serving under the policy emits the
+            // same bytes a default one-chunk serve would.
             let mut prg = ChaChaPrg::from_u64_seed(0xA11CE);
             let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
             let setup = verifier.setup_message().expect("setup");
@@ -143,12 +138,8 @@ fn transcripts_byte_identical_across_policies() {
             let mut plain_ws = ProverWorkspace::new();
             let mut policied_ws = ProverWorkspace::new().with_policy(*policy);
             for proof in reference {
-                let plain = prover
-                    .instance_message_with(proof, &mut plain_ws)
-                    .expect("serve");
-                let policied = prover
-                    .instance_message_policied(proof, &mut policied_ws)
-                    .expect("serve");
+                let plain = prover.instance_message(proof, &mut plain_ws).expect("serve");
+                let policied = prover.instance_message(proof, &mut policied_ws).expect("serve");
                 assert_eq!(plain, policied, "policy {policy:?} changed wire bytes");
             }
         }
@@ -158,7 +149,7 @@ fn transcripts_byte_identical_across_policies() {
 /// A streaming policy under a budget that cannot even hold the
 /// streamed floor surfaces a typed budget error instead of allocating
 /// past the cap — and the same shape under an adequate budget proves
-/// identically to monolithic.
+/// identically to one chunk.
 #[test]
 fn policied_streaming_respects_the_budget() {
     let fx = mul_fixture(&[[3, 7], [4, 9]]);

@@ -11,6 +11,7 @@ use zaatar::cc::Builder;
 use zaatar::core::pcp::{PcpParams, ZaatarPcp};
 use zaatar::core::qap::QapWitness;
 use zaatar::core::testutil::{circuit_fixture_with, TestPcp as Pcp};
+use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
 use zaatar::field::{Field, F61};
 
@@ -172,12 +173,12 @@ fn nonzero_remainder_quotient_rejected() {
     // radix-4 NTTs) must never silently weaken either side.
     let (pcp, w, io) = fixture([11, 6]);
     // Sanity: the honest witness passes the divisibility check.
-    assert!(pcp.qap().compute_h(&w).is_some(), "honest witness divides");
+    assert!(pcp.qap().compute_h(&w, &mut ProverWorkspace::new()).unwrap().is_some(), "honest witness divides");
     for idx in 0..w.z.len().min(4) {
         let mut bad = w.clone();
         bad.z[idx] += f(5);
         assert!(
-            pcp.qap().compute_h(&bad).is_none(),
+            pcp.qap().compute_h(&bad, &mut ProverWorkspace::new()).unwrap().is_none(),
             "non-divisible P_w (z[{idx}] corrupted) must fail compute_h"
         );
         // The cheater ships the remainder-truncated quotient anyway.

@@ -10,12 +10,33 @@
 #    polynomial harness must agree with the naive references with
 #    optimizations on, not just under the checked dev profile;
 # 4. clippy over every target (libs, tests, benches, examples) with
-#    warnings promoted to errors.
+#    warnings promoted to errors;
+# 5. a release build of the benchmark package (perfbench/, its own
+#    workspace), then the smoke slices below; each filtered slice must
+#    actually run the tests it names.
 #
 # CI and pre-commit hooks should run exactly this script; anything it
 # accepts is mergeable by the repo's own standard.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# run_filtered MIN CMD... — runs a filtered `cargo test` and fails unless
+# at least MIN tests passed across its test binaries. A filter that
+# matches nothing passes with "0 passed", so a renamed test would
+# otherwise silently drop out of its smoke step; MIN is the number of
+# names the step filters on (each matches at least one test).
+run_filtered() {
+    local min=$1 out passed
+    shift
+    out=$("$@" 2>&1) || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    passed=$(grep -Eo 'test result: ok\. [0-9]+ passed' <<<"$out" \
+        | awk '{ n += $4 } END { print n + 0 }')
+    if [ "$passed" -lt "$min" ]; then
+        echo "error: expected at least $min matching tests, ran $passed: $*" >&2
+        return 1
+    fi
+}
 
 echo "==> cargo build --release"
 cargo build --release --workspace --locked
@@ -28,6 +49,13 @@ cargo test -q --workspace --locked --release
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --locked -- -D warnings
+
+# The paper-configuration benchmark lives in its own workspace
+# (perfbench/, path dependencies on the crates), so nothing above
+# compiles it: build its binaries and tests here, so a crate API change
+# that breaks the benchmark fails CI instead of the next bench run.
+echo "==> perfbench build (binaries + tests, release)"
+cargo build --offline --release --manifest-path perfbench/Cargo.toml --all-targets
 
 # Soundness smoke: the malicious-prover suite (bad quotient,
 # non-linear oracle, equivocation, post-commit flip) must reject under
@@ -52,7 +80,7 @@ ZAATAR_SOAK_SCENARIOS=96 cargo test -q -p zaatar --test fault_matrix_concurrent 
 # — these run in step 3 too, but a failure here names the commitment
 # engine directly.
 echo "==> msm differential smoke (crypto proptests, release)"
-cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
+run_filtered 3 cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
     mont_sqr_matches_mont_mul_self_across_widths \
     msm_matches_reference_across_widths_and_lengths \
     elgamal_inner_product_matches_naive
@@ -67,26 +95,25 @@ cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
 echo "==> compiler smoke (optimizer differential + hetero acceptance, release)"
 cargo test -q -p zaatar --test compiler_differential --locked --release
 
-# Streaming differential smoke: the chunked prover pipeline must
-# produce session wire transcripts byte-identical to the monolithic
-# path across batch sizes and chunk geometries (one covering chunk,
-# even split, ragged tail) under the release profile, and the 16×
-# leak guard must hold its budget across 100 sessions — these run in
-# step 3 too, but a failure here names the streaming pipeline
-# directly.
+# Streaming differential smoke: the one chunked prover pipeline must
+# produce session wire transcripts byte-identical across chunk
+# geometries (one covering chunk, even split, ragged tail) and batch
+# sizes under the release profile, and the 16× leak guard must hold
+# its budget across 100 sessions — these run in step 3 too, but a
+# failure here names the prover pipeline directly.
 echo "==> streaming differential smoke (chunked prover, release)"
-cargo test -q -p zaatar --test batch_differential --locked --release -- \
+run_filtered 2 cargo test -q -p zaatar --test batch_differential --locked --release -- \
     streaming_prove_transcripts_byte_identical_across_chunk_sizes \
     streaming_leak_guard_high_water_under_budget_at_16x_bench
 
 # Scheduler smoke: the zero-dep policy crate's deterministic unit
 # suite (injected MicroCosts, synthetic host profiles, no wall clock)
 # plus the root policy differential — transcripts must stay
-# byte-identical across every workers × answering × proving policy,
-# and the mono/streamed boundary must sit where the bench measured it.
+# byte-identical across every workers × chunk-geometry policy, and the
+# one-chunk/chunked boundary must sit where the bench measured it.
 echo "==> sched smoke (policy units + transcript differential, release)"
-cargo test -q -p zaatar-sched --locked --release
-cargo test -q -p zaatar --test sched_policy --locked --release
+run_filtered 1 cargo test -q -p zaatar-sched --locked --release
+run_filtered 1 cargo test -q -p zaatar --test sched_policy --locked --release
 
 # The worker-count override must be honored at both extremes: the
 # whole tier-1-critical differential slice reruns pinned to one worker
