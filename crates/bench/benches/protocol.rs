@@ -59,11 +59,15 @@ fn protocol_phases() {
     let mut prg = ChaChaPrg::from_u64_seed(4);
     let key = CommitmentKey::<F61>::generate(proof.z.len(), &mut prg);
     group.bench("prover_commit", || {
-        black_box(CommitmentKey::<F61>::commit(&key.enc_r, &proof.z, &mut ProverWorkspace::new()))
+        black_box(
+            CommitmentKey::<F61>::commit(&key.enc_r, &proof.z, &mut ProverWorkspace::new())
+                .unwrap(),
+        )
     });
     let zq = queries.z_queries();
     let (t, alphas) = key.consistency_query(&zq, &mut prg);
-    let commitment = CommitmentKey::<F61>::commit(&key.enc_r, &proof.z, &mut ProverWorkspace::new());
+    let commitment =
+        CommitmentKey::<F61>::commit(&key.enc_r, &proof.z, &mut ProverWorkspace::new()).unwrap();
     let d = decommit(&proof.z, &zq, &t);
     group.bench("verifier_decommit_check", || {
         black_box(key.verify(&commitment, &d.answers, d.t_answer, &alphas))

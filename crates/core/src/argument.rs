@@ -256,8 +256,11 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> Prover<'p, F, D> {
         enc_r_h: &[Ciphertext],
     ) -> (Ciphertext, Ciphertext) {
         let start = Instant::now();
-        let cz = CommitmentKey::<F>::commit(enc_r_z, &proof.z, &mut self.workspace);
-        let ch = CommitmentKey::<F>::commit(enc_r_h, &proof.h, &mut self.workspace);
+        let ws = &mut self.workspace;
+        let cz = CommitmentKey::<F>::commit(enc_r_z, &proof.z, ws)
+            .expect("an unlimited workspace never refuses a lease");
+        let ch = CommitmentKey::<F>::commit(enc_r_h, &proof.h, ws)
+            .expect("an unlimited workspace never refuses a lease");
         self.timings.crypto += start.elapsed();
         (cz, ch)
     }
@@ -369,8 +372,10 @@ pub fn run_batched_ginger_argument<F: HasGroup + PrimeField>(
         .iter()
         .map(|p| {
             (
-                CommitmentKey::<F>::commit(&key1.enc_r, &p.z, &mut ws),
-                CommitmentKey::<F>::commit(&key2.enc_r, &p.zz, &mut ws),
+                CommitmentKey::<F>::commit(&key1.enc_r, &p.z, &mut ws)
+                    .expect("an unlimited workspace never refuses a lease"),
+                CommitmentKey::<F>::commit(&key2.enc_r, &p.zz, &mut ws)
+                    .expect("an unlimited workspace never refuses a lease"),
             )
         })
         .collect();

@@ -18,6 +18,7 @@
 
 use zaatar_crypto::{ChaChaPrg, Ciphertext, ElGamal, HasGroup, KeyPair};
 use zaatar_field::Field;
+use zaatar_mem::BudgetError;
 
 use crate::matvec::QueryMatrix;
 
@@ -53,24 +54,22 @@ impl<F: HasGroup> CommitmentKey<F> {
 
     /// **Prover side** — the pipeline's **Commit** stage: computes the
     /// commitment `Enc(π(r)) = ∏ Enc(rᵢ)^(uᵢ)` for proof vector `u` (the
-    /// prover sees only `enc_r`) via the Pippenger bucket MSM, with
-    /// bucket accumulators leased from the workspace's group pool. The
-    /// MSM consumes `u` at the chunk length the workspace's stamped
-    /// policy selects ([`crate::ProverWorkspace::chunk_len`]; one
-    /// covering chunk by default): each chunk runs its own bucket pass
-    /// and the partial residues fold in the group, so peak bucket
-    /// storage tracks the chunk. The group fold is exact, so the
-    /// ciphertext is identical for every chunk length. A zero-length
-    /// oracle commits to the identity ciphertext `Enc(0)` — pinned
-    /// behavior, not a panic.
+    /// prover sees only `enc_r`) via the Pippenger bucket MSM, one pass
+    /// per ciphertext component over the whole oracle. Its one working
+    /// buffer (the scalars' words plus the buckets, whose part is capped
+    /// by the MSM's widest window whatever the oracle length) is a hard
+    /// lease from the workspace's group pool, so the stage does not read
+    /// the workspace's chunk length: a budget that cannot fit the lease
+    /// yields the typed [`BudgetError`] with the pool untouched. A
+    /// zero-length oracle commits to the identity ciphertext `Enc(0)` —
+    /// pinned behavior, not a panic.
     pub fn commit(
         enc_r: &[Ciphertext],
         u: &[F],
         ws: &mut crate::ProverWorkspace<F>,
-    ) -> Ciphertext {
+    ) -> Result<Ciphertext, BudgetError> {
         let _span = zaatar_obs::time("commit.commit");
-        let chunk_len = ws.chunk_len(u.len());
-        ElGamal::<F>::inner_product_chunked(enc_r, u, chunk_len, ws.group_scratch())
+        ElGamal::<F>::inner_product_scratch(enc_r, u, ws.group_scratch())
     }
 
     /// **Verifier side**: builds the consistency query
@@ -178,9 +177,10 @@ mod tests {
     use super::*;
     use zaatar_field::{Field, F61};
 
-    /// The Commit stage over a throwaway one-chunk workspace.
+    /// The Commit stage over a throwaway unbudgeted workspace.
     fn commit(enc_r: &[Ciphertext], u: &[F61]) -> Ciphertext {
         CommitmentKey::commit(enc_r, u, &mut crate::ProverWorkspace::new())
+            .expect("an unbudgeted workspace admits every lease")
     }
 
     fn setup(n: usize, nq: usize, seed: u64) -> (CommitmentKey<F61>, Vec<F61>, Vec<Vec<F61>>, ChaChaPrg) {
@@ -290,7 +290,7 @@ mod tests {
             let mut ws: crate::ProverWorkspace<F61> = crate::ProverWorkspace::new()
                 .with_policy(zaatar_sched::ExecPolicy::streamed(chunk_len));
             for round in 0..2 {
-                let pooled = CommitmentKey::commit(&key.enc_r, &u, &mut ws);
+                let pooled = CommitmentKey::commit(&key.enc_r, &u, &mut ws).unwrap();
                 assert_eq!(pooled, fresh, "chunk_len={chunk_len} round={round}");
             }
         }

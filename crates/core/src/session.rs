@@ -283,12 +283,11 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
 
     /// Produces one instance's message 2 — the pipeline's **Commit**
     /// and **Answer** stages over a caller-owned workspace: both oracle
-    /// commitments run at the chunk length the workspace's stamped
-    /// policy selects ([`CommitmentKey::commit`]), and the Answer-stage
+    /// commitments ([`CommitmentKey::commit`]) and the Answer-stage
     /// decommitment vectors are hard `try_take` leases from `ws`,
-    /// returned once encoded, so a session loop serving many instances
-    /// reuses the same two answer buffers throughout. Bytes on the wire
-    /// are identical for every policy.
+    /// returned once used, so a session loop serving many instances
+    /// reuses the same buffers throughout. Bytes on the wire are
+    /// identical for every policy.
     ///
     /// Fails with [`SessionError::SetupNotReceived`] when called before
     /// [`SessionProver::receive_setup`] has succeeded, and with
@@ -301,8 +300,8 @@ impl<'p, F: HasGroup + PrimeField, D: EvalDomain<F>> SessionProver<'p, F, D> {
     ) -> Result<Vec<u8>, SessionError> {
         let queries = self.queries.as_ref().ok_or(SessionError::SetupNotReceived)?;
         let commitments = (
-            CommitmentKey::<F>::commit(&self.enc_r_z, &proof.z, ws),
-            CommitmentKey::<F>::commit(&self.enc_r_h, &proof.h, ws),
+            CommitmentKey::<F>::commit(&self.enc_r_z, &proof.z, ws)?,
+            CommitmentKey::<F>::commit(&self.enc_r_h, &proof.h, ws)?,
         );
         // Query answering — the same phase argument::Prover::respond
         // times as `answer_queries`, through the blocked kernel off the
@@ -670,6 +669,67 @@ mod tests {
             prover.instance_message(&proofs[0], &mut ProverWorkspace::new()).unwrap_err(),
             SessionError::SetupNotReceived
         );
+    }
+
+    /// The Commit stage's MSM lease is hard: a workspace whose budget
+    /// admits both Answer-stage buffers but not the commitment's scalar
+    /// and bucket buffer gets the typed error from either session
+    /// prover — no panic, and the workspace footprint is what it was
+    /// before the call.
+    #[test]
+    fn commit_lease_past_the_budget_is_typed_and_leaves_the_footprint() {
+        let mut b = Builder::<F61>::new();
+        let x = b.alloc_input();
+        let y = b.alloc_input();
+        let mut acc = b.mul(&x, &y);
+        for _ in 0..60 {
+            acc = b.mul(&acc, &x);
+        }
+        b.bind_output(&acc);
+        let (sys, solver) = b.finish();
+        let inputs = [vec![F61::from_u64(2), F61::from_u64(3)]];
+        let fx = crate::testutil::circuit_fixture(&sys, &solver, &inputs);
+        let mut prg = ChaChaPrg::from_u64_seed(0xb0d6);
+        let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
+        let mut prover = SessionProver::new(&fx.pcp);
+        let setup = verifier.setup_message().unwrap();
+        prover.receive_setup(&setup).unwrap();
+        let pcps = [&fx.pcp];
+        let mut hetero_verifier = HeteroSessionVerifier::new(&pcps, &[0], &prg);
+        let mut hetero = HeteroSessionProver::new(&pcps, &[0]);
+        hetero.receive_setup(&hetero_verifier.setup_message().unwrap()).unwrap();
+
+        let queries = prover.queries.as_ref().unwrap();
+        let rows = [queries.z_matrix().num_rows(), queries.h_matrix().num_rows()];
+        let budget: usize = rows
+            .iter()
+            .map(|r| r.next_power_of_two() * std::mem::size_of::<F61>())
+            .sum();
+        let mut ws = ProverWorkspace::with_budget(zaatar_mem::MemBudget::bytes(budget));
+        // The budget admits the Answer stage's two buffers at once; they
+        // stay pooled, so the footprint before the call is not zero.
+        let bufs = rows.map(|r| ws.scratch().try_take(r, F61::ZERO).expect("answer buffers fit"));
+        for buf in bufs {
+            ws.scratch().put(buf);
+        }
+        let before = ws.footprint_bytes();
+        assert!(before > 0);
+        let proof = &fx.proofs[0];
+        for err in [
+            prover.instance_message(proof, &mut ws).unwrap_err(),
+            hetero.instance_message(0, proof, &mut ws).unwrap_err(),
+        ] {
+            let SessionError::BudgetExceeded { requested_bytes, limit_bytes, .. } = err else {
+                panic!("expected a budget error, got {err:?}");
+            };
+            assert_eq!(limit_bytes, budget);
+            assert!(requested_bytes > budget, "{requested_bytes} B fits the {budget} B budget");
+            assert_eq!(ws.footprint_bytes(), before, "a refused commit changed the footprint");
+        }
+        // The same workspace serves the instance once the budget is lifted.
+        ws.set_budget(zaatar_mem::MemBudget::unlimited());
+        let msg = prover.instance_message(proof, &mut ws).unwrap();
+        assert!(verifier.verify_instance(&msg, &fx.ios[0]).unwrap());
     }
 
     /// A second, structurally different circuit (`y = (x + y)·x`) for

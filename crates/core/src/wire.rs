@@ -342,8 +342,8 @@ mod tests {
             (a.to_vec(), b.to_vec())
         };
         let commitments = (
-            CommitmentKey::<F61>::commit(&ez, &proof.z, &mut ProverWorkspace::new()),
-            CommitmentKey::<F61>::commit(&eh, &proof.h, &mut ProverWorkspace::new()),
+            CommitmentKey::<F61>::commit(&ez, &proof.z, &mut ProverWorkspace::new()).unwrap(),
+            CommitmentKey::<F61>::commit(&eh, &proof.h, &mut ProverWorkspace::new()).unwrap(),
         );
         let req = verifier.decommit_request();
         let dz = decommit(&proof.z, &req.z_queries, req.t_z);
@@ -415,8 +415,10 @@ mod tests {
         let (tz, _) = key_z.consistency_query(&queries.z_queries(), &mut prg);
         let (th, _) = key_h.consistency_query(&queries.h_queries(), &mut prg);
         let commitments = (
-            CommitmentKey::<F61>::commit(&key_z.enc_r, &proof.z, &mut ProverWorkspace::new()),
-            CommitmentKey::<F61>::commit(&key_h.enc_r, &proof.h, &mut ProverWorkspace::new()),
+            CommitmentKey::<F61>::commit(&key_z.enc_r, &proof.z, &mut ProverWorkspace::new())
+                .unwrap(),
+            CommitmentKey::<F61>::commit(&key_h.enc_r, &proof.h, &mut ProverWorkspace::new())
+                .unwrap(),
         );
         let dz = decommit(&proof.z, &queries.z_queries(), &tz);
         let dh = decommit(&proof.h, &queries.h_queries(), &th);

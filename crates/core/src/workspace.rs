@@ -10,10 +10,10 @@
 //! ([`prove_batch_with_policy`](crate::runtime::prove_batch_with_policy)
 //! builds one workspace per worker via `parallel_map_with`).
 //!
-//! The stages are chunked: each reads its chunk length from the
-//! workspace's stamped [`ExecPolicy`] ([`ProverWorkspace::chunk_len`]),
-//! and every lease is a hard `try_take` against the workspace's
-//! [`MemBudget`]. Under an unlimited budget a lease is never refused,
+//! The Witness and Quotient stages are chunked: they read their chunk
+//! length from the workspace's stamped [`ExecPolicy`]
+//! ([`ProverWorkspace::chunk_len`]). Every lease of every stage is a
+//! hard `try_take` against the workspace's [`MemBudget`]. Under an unlimited budget a lease is never refused,
 //! and [`Proving::Monolithic`] is simply the one-chunk geometry.
 //!
 //! Reuse is observable: `mem.scratch.hit` / `mem.scratch.miss` count
@@ -34,14 +34,14 @@ use zaatar_sched::{ExecPolicy, Proving};
 /// which its owner should execute — the same placement the
 /// [`MemBudget`] has. A server stamps both at workspace lease time
 /// (budget from the tenant config, policy from the scheduler), and
-/// every pipeline stage reads its chunk length from here instead of
+/// the chunked stages read their chunk length from here instead of
 /// taking a knob argument.
 pub struct ProverWorkspace<F> {
     scratch: Scratch<F>,
-    /// Raw-word pool for the group layer: the commit and answer stages
-    /// lease Pippenger bucket accumulators (`u64` Montgomery words, not
+    /// Raw-word pool for the group layer: the Commit stage leases the
+    /// MSM's scalar words and bucket accumulators (`u64` words, not
     /// field elements) from here, so one worker's MSMs share a single
-    /// bucket allocation across every commitment in a batch.
+    /// allocation across every commitment in a batch.
     group_scratch: Scratch<u64>,
     /// Execution decisions for work run against this workspace; defaults
     /// to [`ExecPolicy::serial`] (one worker, one covering chunk).
@@ -133,8 +133,8 @@ impl<F> ProverWorkspace<F> {
         &mut self.scratch
     }
 
-    /// The group-word pool the MSM commitment engine leases its bucket
-    /// accumulators from.
+    /// The group-word pool the MSM commitment engine leases its working
+    /// buffer from.
     pub fn group_scratch(&mut self) -> &mut Scratch<u64> {
         &mut self.group_scratch
     }

@@ -9,8 +9,8 @@
 //! checks `gᵐ` against an exponent it can compute itself.
 
 use crate::chacha::ChaChaPrg;
-use crate::group::{FixedBaseTable, GroupElem, HasGroup, MsmAccumulator, SchnorrGroup};
-use zaatar_mem::Scratch;
+use crate::group::{FixedBaseTable, GroupElem, HasGroup, SchnorrGroup};
+use zaatar_mem::{BudgetError, Scratch};
 
 /// Minimum vector length at which [`ElGamal::encrypt_vec`] builds a
 /// per-public-key fixed-base table. Building costs ~15 multiplications
@@ -160,99 +160,49 @@ impl<F: HasGroup> ElGamal<F> {
     /// prover's entire commitment computation (§2.2, "apply its function
     /// to an encrypted vector").
     ///
-    /// Runs the Pippenger bucket MSM ([`SchnorrGroup::msm`]) once per
-    /// ciphertext component; a zero-length oracle commits to the
-    /// identity ciphertext ([`Self::zero`]), never a panic.
+    /// Runs the Pippenger bucket MSM once per ciphertext component over
+    /// the whole vector; a zero-length oracle commits to the identity
+    /// ciphertext ([`Self::zero`]), never a panic.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn inner_product(cts: &[Ciphertext], scalars: &[F]) -> Ciphertext {
         Self::inner_product_scratch(cts, scalars, &mut Scratch::new())
+            .expect("an unbudgeted pool admits every lease")
     }
 
-    /// [`Self::inner_product`] leasing the MSM bucket accumulators from
-    /// a caller-owned [`Scratch`] pool (the prover's commit and answer
-    /// stages thread their `ProverWorkspace` pool through here).
+    /// [`Self::inner_product`] leasing the MSM's one working buffer (the
+    /// scalars' canonical words, converted once, plus the bucket
+    /// accumulators) from a caller-owned [`Scratch`] pool as a hard
+    /// lease: a budget that cannot fit it yields the typed
+    /// [`BudgetError`] with the pool untouched (the prover's Commit
+    /// stage threads its `ProverWorkspace` group pool through here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
     pub fn inner_product_scratch(
         cts: &[Ciphertext],
         scalars: &[F],
         scratch: &mut Scratch<u64>,
-    ) -> Ciphertext {
+    ) -> Result<Ciphertext, BudgetError> {
         assert_eq!(cts.len(), scalars.len(), "length mismatch");
-        let g = Self::group();
-        // Gather the surviving (nonzero-scalar) pairs once, then run one
-        // MSM per ciphertext component over the same scalar set.
-        let mut c1s: Vec<&[u64]> = Vec::with_capacity(cts.len());
-        let mut c2s: Vec<&[u64]> = Vec::with_capacity(cts.len());
-        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(cts.len());
-        for (ct, s) in cts.iter().zip(scalars.iter()) {
-            if s.is_zero() {
-                continue;
-            }
-            c1s.push(ct.c1.words());
-            c2s.push(ct.c2.words());
-            exps.push(s.exponent_words());
-        }
-        let exp_refs: Vec<&[u64]> = exps.iter().map(|e| e.as_slice()).collect();
-        Ciphertext {
-            c1: GroupElem::from_mont_words(g.msm_words(&c1s, &exp_refs, scratch)),
-            c2: GroupElem::from_mont_words(g.msm_words(&c2s, &exp_refs, scratch)),
-        }
-    }
-
-    /// [`Self::inner_product_scratch`] consuming the scalar vector
-    /// `chunk_len` entries at a time: each chunk's pairs run through the
-    /// Pippenger kernel separately and the per-chunk ciphertext products
-    /// fold together via [`MsmAccumulator`]. The group product over
-    /// ordered chunks equals the one-shot product, so the resulting
-    /// ciphertext is **equal** (byte-identical once serialized) to the
-    /// monolithic path's — while peak transient memory is bounded by the
-    /// chunk: the gathered word-slice vectors and the leased MSM bucket
-    /// buffer are all chunk-sized. This is the streaming commit stage's
-    /// entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or `chunk_len == 0`.
-    pub fn inner_product_chunked(
-        cts: &[Ciphertext],
-        scalars: &[F],
-        chunk_len: usize,
-        scratch: &mut Scratch<u64>,
-    ) -> Ciphertext {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        assert_eq!(cts.len(), scalars.len(), "length mismatch");
-        let g = Self::group();
-        let mut acc1 = MsmAccumulator::new();
-        let mut acc2 = MsmAccumulator::new();
-        // A chunk never holds more pairs than the vector does, so a
-        // one-chunk call (`chunk_len >= len`, up to `usize::MAX`)
-        // reserves the vector's length, not the chunk's.
-        let cap = chunk_len.min(cts.len());
-        let mut c1s: Vec<&[u64]> = Vec::with_capacity(cap);
-        let mut c2s: Vec<&[u64]> = Vec::with_capacity(cap);
-        let mut exps: Vec<Vec<u64>> = Vec::with_capacity(cap);
-        for (ct_chunk, s_chunk) in cts.chunks(chunk_len).zip(scalars.chunks(chunk_len)) {
-            c1s.clear();
-            c2s.clear();
-            exps.clear();
-            for (ct, s) in ct_chunk.iter().zip(s_chunk.iter()) {
-                if s.is_zero() {
-                    continue;
+        let [c1, c2] = Self::group().msm_words(
+            |i| [cts[i].c1.words(), cts[i].c2.words()],
+            scalars.len(),
+            F::NUM_WORDS,
+            |i, out| {
+                if !scalars[i].is_zero() {
+                    out.copy_from_slice(&scalars[i].exponent_words());
                 }
-                c1s.push(ct.c1.words());
-                c2s.push(ct.c2.words());
-                exps.push(s.exponent_words());
-            }
-            let exp_refs: Vec<&[u64]> = exps.iter().map(|e| e.as_slice()).collect();
-            g.msm_words_accumulate(&mut acc1, &c1s, &exp_refs, scratch);
-            g.msm_words_accumulate(&mut acc2, &c2s, &exp_refs, scratch);
-        }
-        Ciphertext {
-            c1: g.msm_accumulator_finish(acc1),
-            c2: g.msm_accumulator_finish(acc2),
-        }
+            },
+            scratch,
+        )?;
+        Ok(Ciphertext {
+            c1: GroupElem::from_mont_words(c1),
+            c2: GroupElem::from_mont_words(c2),
+        })
     }
 
     /// Reference per-element inner product (square-and-multiply per
@@ -375,32 +325,6 @@ mod tests {
         let cts = Eg::encrypt_vec(kp.public(), &r, &mut prg);
         let ct = Eg::inner_product(&cts, &u);
         assert_eq!(Eg::decrypt_to_group(&kp, &ct), Eg::encode(F61::from_u64(66)));
-    }
-
-    #[test]
-    fn chunked_inner_product_identical_to_monolithic() {
-        // The streaming commit stage's accumulation must yield the
-        // *same ciphertext* (not just the same plaintext) as the
-        // one-shot MSM, for every chunking including ragged tails and
-        // chunks that are entirely zero-scalar.
-        let (kp, mut prg) = setup();
-        let r: Vec<F61> = (1..=17u64).map(|i| F61::from_u64(i * 31 + 5)).collect();
-        let mut u: Vec<F61> = (1..=17u64).map(|i| F61::from_u64(i * 13)).collect();
-        u[3] = F61::ZERO;
-        u[8] = F61::ZERO;
-        u[9] = F61::ZERO;
-        let cts = Eg::encrypt_vec(kp.public(), &r, &mut prg);
-        let mut scratch = Scratch::new();
-        let reference = Eg::inner_product_scratch(&cts, &u, &mut scratch);
-        for chunk_len in [1usize, 3, 8, 17, 64, usize::MAX] {
-            let chunked = Eg::inner_product_chunked(&cts, &u, chunk_len, &mut scratch);
-            assert_eq!(chunked, reference, "chunk_len={chunk_len}");
-        }
-        // Empty input commits to the identity on both paths.
-        assert_eq!(
-            Eg::inner_product_chunked(&[], &[], 4, &mut scratch),
-            Eg::zero()
-        );
     }
 
     #[test]

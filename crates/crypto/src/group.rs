@@ -14,7 +14,7 @@
 use std::sync::OnceLock;
 
 use zaatar_field::{PrimeField, F128, F220, F61};
-use zaatar_mem::{Interner, Scratch};
+use zaatar_mem::{BudgetError, Interner, Scratch};
 
 use crate::mp::{is_zero, MontCtx};
 
@@ -191,6 +191,13 @@ impl SchnorrGroup {
 /// `(2^12 − 1) · width` words (≈ 512 KiB at the 1024-bit width).
 const MSM_MAX_WINDOW_BITS: usize = 12;
 
+/// Words of the MSM lease beyond the scalars, for `n` scalars of a
+/// group `width` words wide: the bucket slots of the widest window `n`
+/// can select.
+fn msm_bucket_words(n: usize, width: usize) -> usize {
+    ((1usize << msm_window_bits(n)) - 1) * width
+}
+
 /// Window width (in bits) for a bucket MSM over `n` bases.
 ///
 /// Per window of width `c`, the bucket method pays `n` accumulation
@@ -226,201 +233,180 @@ fn window_digit(s: &[u64], bit: usize, c: usize) -> usize {
 
 impl SchnorrGroup {
     /// Multi-scalar multiplication `∏ basesᵢ^(scalarsᵢ)` by the
-    /// Pippenger bucket method — the commitment engine's inner loop
-    /// (`Enc(π(r)) = ∏ Enc(rᵢ)^(uᵢ)`, §2.2, runs this once per
-    /// ciphertext component).
+    /// Pippenger bucket method.
     ///
     /// Scalars are canonical little-endian words (any widths, including
     /// values above the subgroup order — the result is the plain
     /// integer-exponent product either way). Bases must be actual group
     /// elements (never the zero residue, which the buckets use as their
-    /// empty sentinel). Window width comes from the input length via
-    /// [`msm_window_bits`].
+    /// empty sentinel).
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn msm(&self, bases: &[GroupElem], scalars: &[&[u64]]) -> GroupElem {
         self.msm_scratch(bases, scalars, &mut Scratch::new())
+            .expect("an unbudgeted pool admits every lease")
     }
 
-    /// [`Self::msm`] leasing its bucket accumulators from a
-    /// caller-owned [`Scratch`] pool, so a prover committing to many
-    /// instances pays for the bucket storage once per worker (the
-    /// staged pipeline threads its `ProverWorkspace` pool through
-    /// here).
+    /// [`Self::msm`] leasing its working buffer from a caller-owned
+    /// [`Scratch`] pool as a hard [`Scratch::try_take`]: a pool whose
+    /// budget cannot fit it returns the typed [`BudgetError`] with the
+    /// pool untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
     pub fn msm_scratch(
         &self,
         bases: &[GroupElem],
         scalars: &[&[u64]],
         scratch: &mut Scratch<u64>,
-    ) -> GroupElem {
-        let refs: Vec<&[u64]> = bases.iter().map(|b| b.mont.as_slice()).collect();
-        GroupElem::from_mont_words(self.msm_words(&refs, scalars, scratch))
+    ) -> Result<GroupElem, BudgetError> {
+        assert_eq!(bases.len(), scalars.len(), "length mismatch");
+        let stride = scalars.iter().map(|s| s.len()).max().unwrap_or(0);
+        let [product] = self.msm_words(
+            |i| [bases[i].words()],
+            scalars.len(),
+            stride,
+            |i, out| out[..scalars[i].len()].copy_from_slice(scalars[i]),
+            scratch,
+        )?;
+        Ok(GroupElem::from_mont_words(product))
     }
 
-    /// The MSM kernel over raw Montgomery word slices (how the ElGamal
-    /// layer feeds ciphertext components without gathering them into
-    /// owned `GroupElem` vectors).
+    /// The MSM kernel: one Pippenger pass per base set over `len`
+    /// shared scalars — the commitment engine's inner loop
+    /// (`Enc(π(r)) = ∏ Enc(rᵢ)^(uᵢ)`, §2.2, runs it with `K = 2`, one
+    /// pass per ciphertext component). `bases(i)` yields the `K`
+    /// Montgomery-form bases paired with scalar `i`, and `scalar(i, out)`
+    /// writes that scalar's canonical words into `out` (`stride` words,
+    /// zeroed beforehand).
     ///
-    /// Buckets live in one flat leased buffer, `2^c − 1` slots of
-    /// `width` words, with the all-zero block as the "empty" sentinel
-    /// (zero is not a group element, so no valid accumulation can
-    /// collide with it). Windows run most-significant first: between
-    /// windows the accumulator is squared `c` times
-    /// ([`MontCtx::mont_sqr`]), then each window's buckets drain via
-    /// running suffix products (`∏ bucket[d]^d` in `2·(2^c − 1)`
-    /// multiplications, skipping empty prefixes).
-    pub(crate) fn msm_words(
+    /// Its working memory is one leased buffer, taken as a hard
+    /// [`Scratch::try_take`] before any work: the scalars, converted
+    /// once into flat words, followed by the bucket slots. The window
+    /// width comes from the number of nonzero scalars
+    /// ([`msm_window_bits`]), so the bucket part is bounded by
+    /// [`MSM_MAX_WINDOW_BITS`] however long the input is. The bucket
+    /// part is sized for the window of `len` scalars, an upper bound
+    /// that needs no pass over the scalars before leasing.
+    ///
+    /// Buckets use the all-zero block as their "empty" sentinel (zero is
+    /// not a group element, so no valid accumulation can collide with
+    /// it) and are multiplied in place. Windows run most-significant
+    /// first: between windows the accumulator is squared `c` times, then
+    /// each window's buckets drain via running suffix products
+    /// (`∏ bucket[d]^d` in `2·(2^c − 1)` multiplications, skipping empty
+    /// prefixes). The product is exact, so it does not depend on the
+    /// window width or on the order of the scalars.
+    pub(crate) fn msm_words<'a, const K: usize>(
         &self,
-        bases: &[&[u64]],
-        scalars: &[&[u64]],
+        bases: impl Fn(usize) -> [&'a [u64]; K],
+        len: usize,
+        stride: usize,
+        scalar: impl Fn(usize, &mut [u64]),
         scratch: &mut Scratch<u64>,
-    ) -> Vec<u64> {
-        assert_eq!(bases.len(), scalars.len(), "length mismatch");
-        let n = bases.len();
-        let max_bits = scalars.iter().map(|s| bit_len(s)).max().unwrap_or(0);
-        if n == 0 || max_bits == 0 {
-            return self.ctx.one();
+    ) -> Result<[Vec<u64>; K], BudgetError> {
+        if len == 0 || stride == 0 {
+            return Ok(std::array::from_fn(|_| self.ctx.one()));
         }
         let width = self.ctx.width();
-        let c = msm_window_bits(n);
+        let scalar_words = len * stride;
+        let mut lease = scratch.try_take(scalar_words + msm_bucket_words(len, width), 0u64)?;
+        let (words, buckets) = lease.split_at_mut(scalar_words);
+        for (i, out) in words.chunks_exact_mut(stride).enumerate() {
+            scalar(i, out);
+        }
+        let nonzero = words.chunks_exact(stride).filter(|s| !is_zero(s)).count();
+        let max_bits = words.chunks_exact(stride).map(bit_len).max().unwrap_or(0);
+        let products = std::array::from_fn(|k| {
+            self.msm_pass(|i| bases(i)[k], words, stride, nonzero, max_bits, buckets)
+        });
+        scratch.put(lease);
+        Ok(products)
+    }
+
+    /// One Pippenger pass of [`Self::msm_words`] over one base set.
+    fn msm_pass<'a>(
+        &self,
+        base: impl Fn(usize) -> &'a [u64],
+        words: &[u64],
+        stride: usize,
+        nonzero: usize,
+        max_bits: usize,
+        buckets: &mut [u64],
+    ) -> Vec<u64> {
+        let mut acc = self.ctx.one();
+        if max_bits == 0 {
+            return acc;
+        }
+        let width = self.ctx.width();
+        let c = msm_window_bits(nonzero);
         let num_windows = max_bits.div_ceil(c);
-        let num_buckets = (1usize << c) - 1;
-        let mut buckets = scratch.take(num_buckets * width, 0u64);
-        let mut acc: Option<Vec<u64>> = None;
+        let buckets = &mut buckets[..((1usize << c) - 1) * width];
+        let mut running = acc.clone();
+        let mut window = acc.clone();
+        let mut have_acc = false;
         let mut bucket_ops = 0u64;
         let mut doublings = 0u64;
         for w in (0..num_windows).rev() {
             // Shift the accumulator past this window (identity needs no
             // shifting, so the leading empty windows are free).
-            if let Some(a) = acc.as_mut() {
+            if have_acc {
                 for _ in 0..c {
-                    *a = self.ctx.mont_sqr(a);
+                    self.ctx.square_assign(&mut acc);
                 }
                 doublings += c as u64;
             }
-            for slot in buckets.iter_mut() {
-                *slot = 0;
-            }
-            for (base, scalar) in bases.iter().zip(scalars.iter()) {
+            buckets.fill(0);
+            for (i, scalar) in words.chunks_exact(stride).enumerate() {
                 let d = window_digit(scalar, w * c, c);
                 if d == 0 {
                     continue;
                 }
                 let slot = &mut buckets[(d - 1) * width..d * width];
                 if is_zero(slot) {
-                    slot.copy_from_slice(base);
+                    slot.copy_from_slice(base(i));
                 } else {
-                    let prod = self.ctx.mont_mul(slot, base);
-                    slot.copy_from_slice(&prod);
+                    self.ctx.mul_assign(slot, base(i));
                 }
                 bucket_ops += 1;
             }
-            // Drain: running = ∏_{e ≥ d} bucket[e], summed into
+            // Drain: running = ∏_{e ≥ d} bucket[e], folded into
             // window = ∏ bucket[d]^d.
-            let mut running: Option<Vec<u64>> = None;
-            let mut window: Option<Vec<u64>> = None;
-            for d in (1..=num_buckets).rev() {
-                let slot = &buckets[(d - 1) * width..d * width];
+            let (mut have_running, mut have_window) = (false, false);
+            for slot in buckets.chunks_exact(width).rev() {
                 if !is_zero(slot) {
-                    running = Some(match running {
-                        Some(r) => self.ctx.mont_mul(&r, slot),
-                        None => slot.to_vec(),
-                    });
+                    if have_running {
+                        self.ctx.mul_assign(&mut running, slot);
+                    } else {
+                        running.copy_from_slice(slot);
+                        have_running = true;
+                    }
                 }
-                if let Some(r) = running.as_ref() {
-                    window = Some(match window {
-                        Some(acc) => self.ctx.mont_mul(&acc, r),
-                        None => r.clone(),
-                    });
+                if have_running {
+                    if have_window {
+                        self.ctx.mul_assign(&mut window, &running);
+                    } else {
+                        window.copy_from_slice(&running);
+                        have_window = true;
+                    }
                 }
             }
-            if let Some(win) = window {
-                acc = Some(match acc {
-                    Some(a) => self.ctx.mont_mul(&a, &win),
-                    None => win,
-                });
+            if have_window {
+                if have_acc {
+                    self.ctx.mul_assign(&mut acc, &window);
+                } else {
+                    acc.copy_from_slice(&window);
+                    have_acc = true;
+                }
             }
         }
-        scratch.put(buckets);
         zaatar_obs::counter("commit.msm.windows").add(num_windows as u64);
         zaatar_obs::counter("commit.msm.buckets").add(bucket_ops);
         zaatar_obs::counter("commit.msm.doublings").add(doublings);
-        acc.unwrap_or_else(|| self.ctx.one())
-    }
-}
-
-/// A running MSM product for incremental (chunked) commitment
-/// accumulation: each accumulate call runs the Pippenger kernel over one
-/// chunk of `(base, scalar)` pairs and folds the chunk's product into
-/// the accumulator with a single group multiplication. The group is
-/// abelian, so the product over ordered chunks equals the one-shot MSM
-/// over the concatenated inputs — the same residue, hence byte-identical
-/// serialized commitments — while the leased bucket buffer is sized by
-/// the *chunk* length ([`msm_window_bits`]), not the full vector. This
-/// is how the streaming commit stage feeds `msm_scratch` scalars
-/// chunk-at-a-time under a memory budget.
-#[derive(Default)]
-pub struct MsmAccumulator {
-    acc: Option<Vec<u64>>,
-}
-
-impl MsmAccumulator {
-    /// An empty accumulator (finishes to the identity).
-    pub fn new() -> Self {
-        MsmAccumulator { acc: None }
-    }
-}
-
-impl SchnorrGroup {
-    /// Folds one chunk's MSM into `acc` (raw Montgomery word slices, the
-    /// same kernel interface the ElGamal layer feeds).
-    pub(crate) fn msm_words_accumulate(
-        &self,
-        acc: &mut MsmAccumulator,
-        bases: &[&[u64]],
-        scalars: &[&[u64]],
-        scratch: &mut Scratch<u64>,
-    ) {
-        if bases.is_empty() {
-            return;
-        }
-        let part = self.msm_words(bases, scalars, scratch);
-        acc.acc = Some(match acc.acc.take() {
-            Some(a) => self.ctx.mont_mul(&a, &part),
-            None => part,
-        });
-    }
-
-    /// Closes an accumulator into its group element (identity if nothing
-    /// was accumulated).
-    pub fn msm_accumulator_finish(&self, acc: MsmAccumulator) -> GroupElem {
-        GroupElem::from_mont_words(acc.acc.unwrap_or_else(|| self.ctx.one()))
-    }
-
-    /// [`Self::msm_scratch`] fed `chunk_len` pairs at a time through an
-    /// [`MsmAccumulator`]. Identical result; bucket scratch sized by the
-    /// chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or `chunk_len == 0`.
-    pub fn msm_chunked(
-        &self,
-        bases: &[GroupElem],
-        scalars: &[&[u64]],
-        chunk_len: usize,
-        scratch: &mut Scratch<u64>,
-    ) -> GroupElem {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        assert_eq!(bases.len(), scalars.len(), "length mismatch");
-        let mut acc = MsmAccumulator::new();
-        for (bs, ss) in bases.chunks(chunk_len).zip(scalars.chunks(chunk_len)) {
-            let refs: Vec<&[u64]> = bs.iter().map(|b| b.mont.as_slice()).collect();
-            self.msm_words_accumulate(&mut acc, &refs, ss, scratch);
-        }
-        self.msm_accumulator_finish(acc)
+        acc
     }
 }
 
@@ -527,7 +513,8 @@ impl SchnorrGroup {
                 mont: self.ctx.mont_pow(&table.base, exp),
             };
         }
-        let mut acc: Option<Vec<u64>> = None;
+        let mut acc = self.ctx.one();
+        let mut have_acc = false;
         for w in 0..table.num_windows {
             let bit = w * WINDOW_BITS;
             let word = bit / 64;
@@ -539,14 +526,14 @@ impl SchnorrGroup {
                 continue;
             }
             let entry = &table.entries[w * DIGITS_PER_WINDOW + digit - 1];
-            acc = Some(match acc {
-                Some(a) => self.ctx.mont_mul(&a, entry),
-                None => entry.clone(),
-            });
+            if have_acc {
+                self.ctx.mul_assign(&mut acc, entry);
+            } else {
+                acc.copy_from_slice(entry);
+                have_acc = true;
+            }
         }
-        GroupElem {
-            mont: acc.unwrap_or_else(|| self.ctx.one()),
-        }
+        GroupElem { mont: acc }
     }
 
     /// The interned fixed-base table for this group's generator.
@@ -771,27 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_msm_identical_to_one_shot() {
-        let g = F61::group();
-        let bases: Vec<GroupElem> = (1..=13u64).map(|i| g.gen_pow(&[i * 7 + 1])).collect();
-        let exps: Vec<Vec<u64>> = (1..=13u64)
-            .map(|i| F61::from_u64(i * 0x1_0001 + 3).exponent_words())
-            .collect();
-        let exp_refs: Vec<&[u64]> = exps.iter().map(|e| e.as_slice()).collect();
-        let mut scratch = Scratch::new();
-        let reference = g.msm_scratch(&bases, &exp_refs, &mut scratch);
-        for chunk_len in [1usize, 2, 5, 13, 100] {
-            let chunked = g.msm_chunked(&bases, &exp_refs, chunk_len, &mut scratch);
-            assert_eq!(chunked, reference, "chunk_len={chunk_len}");
-        }
-        // An empty accumulator finishes to the identity.
-        assert_eq!(
-            g.msm_accumulator_finish(MsmAccumulator::new()),
-            g.identity()
-        );
-    }
-
-    #[test]
     fn inversion_cancels() {
         let g = F61::group();
         let x = g.gen_pow(&[42]);
@@ -946,11 +912,28 @@ mod tests {
                 (0..n).map(|_| gen.field::<F61>().to_canonical_words()).collect();
             let refs: Vec<&[u64]> = scalars.iter().map(|s| s.as_slice()).collect();
             assert_eq!(
-                g.msm_scratch(&bases, &refs, &mut scratch),
+                g.msm_scratch(&bases, &refs, &mut scratch).unwrap(),
                 g.msm(&bases, &refs),
                 "round={round}"
             );
         }
+    }
+
+    #[test]
+    fn msm_lease_past_the_budget_is_refused_before_any_work() {
+        let g = F61::group();
+        let bases: Vec<GroupElem> = (1..=40u64).map(|i| g.gen_pow(&[i])).collect();
+        let scalars: Vec<Vec<u64>> = (1..=40u64).map(|i| vec![i * 0x9e37]).collect();
+        let refs: Vec<&[u64]> = scalars.iter().map(|s| s.as_slice()).collect();
+        let mut scratch = Scratch::with_budget(zaatar_mem::MemBudget::bytes(256));
+        let err = g.msm_scratch(&bases, &refs, &mut scratch).unwrap_err();
+        assert!(err.requested_bytes > err.limit_bytes);
+        assert_eq!(scratch.footprint_bytes(), 0, "a refused lease must leave the pool untouched");
+        scratch.set_budget(zaatar_mem::MemBudget::unlimited());
+        assert_eq!(
+            g.msm_scratch(&bases, &refs, &mut scratch).unwrap(),
+            naive_msm(g, &bases, &refs)
+        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! keys — and the query generator uses the ChaCha stream cipher as a
 //! pseudorandom generator (§5.1). Both are implemented here from scratch:
 //!
-//! * [`mp`] — dynamic-width multiprecision Montgomery arithmetic (the
-//!   1024-bit modular exponentiation engine);
+//! * [`mp`] — multiprecision Montgomery arithmetic for runtime moduli,
+//!   one fixed-width kernel per supported width (the 1024-bit modular
+//!   exponentiation engine);
 //! * [`group`] — Schnorr groups: prime-order subgroups of `Z_p*` whose
 //!   order equals the *PCP field modulus*, so that homomorphic operations
 //!   on exponents coincide exactly with field arithmetic (this is what

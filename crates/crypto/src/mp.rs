@@ -1,32 +1,19 @@
-//! Dynamic-width multiprecision arithmetic with runtime Montgomery
-//! contexts.
+//! Multiprecision Montgomery arithmetic for runtime moduli.
 //!
 //! Unlike `zaatar-field`, where the modulus is a compile-time constant,
 //! the ElGamal group modulus is runtime data (different groups pair with
 //! different PCP fields), so this module provides a [`MontCtx`] built at
-//! runtime. Widths in this system are 4 limbs (256-bit test group) or 16
-//! limbs (1024-bit production groups).
+//! runtime. Its multiplication is one const-generic CIOS body on
+//! `[u64; N]`, monomorphized for the widths this system uses: 1, 2 and 4
+//! limbs (the field moduli the primality checks re-verify, and the
+//! 256-bit test group) and 16 limbs (the 1024-bit production groups).
+//! [`MontCtx::new`] refuses every other width.
+//!
+//! The slice helpers below serve the width-agnostic bookkeeping around
+//! the kernel (canonical-range checks, exponent negation, the
+//! primality tests' long division).
 
-/// `a + b + carry` with carry out.
-#[inline(always)]
-fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
-    let t = a as u128 + b as u128 + carry as u128;
-    (t as u64, (t >> 64) as u64)
-}
-
-/// `a − b − borrow` with borrow out.
-#[inline(always)]
-fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
-    let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
-    (t as u64, ((t >> 64) as u64) & 1)
-}
-
-/// `acc + a·b + carry` returning (low, high).
-#[inline(always)]
-fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
-    let t = acc as u128 + (a as u128) * (b as u128) + carry as u128;
-    (t as u64, (t >> 64) as u64)
-}
+use zaatar_field::limbs::{self, adc, mac, sbb};
 
 /// Compares little-endian multi-word integers: `true` if `a >= b`.
 pub fn geq(a: &[u64], b: &[u64]) -> bool {
@@ -66,12 +53,92 @@ pub fn is_zero(a: &[u64]) -> bool {
     a.iter().all(|&x| x == 0)
 }
 
+/// The Montgomery kernel at a fixed width of `N` limbs.
+#[derive(Clone, Debug)]
+struct Kernel<const N: usize> {
+    modulus: [u64; N],
+    /// `−m⁻¹ mod 2⁶⁴`.
+    inv: u64,
+}
+
+impl<const N: usize> Kernel<N> {
+    /// Montgomery multiplication (CIOS): `a·b/R mod m` for `a, b < m`,
+    /// on the stack. Squaring is this with `a = b`: a dedicated SOS
+    /// squaring kernel measured slower than it at 16 limbs.
+    #[inline]
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let m = &self.modulus;
+        let mut t = [0u64; N];
+        let mut t_n: u64 = 0;
+        for &bi in b.iter() {
+            let mut carry = 0;
+            for j in 0..N {
+                let (lo, c) = mac(t[j], a[j], bi, carry);
+                t[j] = lo;
+                carry = c;
+            }
+            let (lo, t_n1) = adc(t_n, carry, 0);
+            t_n = lo;
+
+            let k = t[0].wrapping_mul(self.inv);
+            let (_, mut carry) = mac(t[0], k, m[0], 0);
+            for j in 1..N {
+                let (lo, c) = mac(t[j], k, m[j], carry);
+                t[j - 1] = lo;
+                carry = c;
+            }
+            let (lo, c) = adc(t_n, carry, 0);
+            t[N - 1] = lo;
+            t_n = t_n1 + c;
+        }
+        if t_n != 0 || limbs::geq(&t, m) {
+            limbs::sub_assign(&mut t, m);
+        }
+        t
+    }
+
+    /// `a ← a·b/R mod m` over word slices of width `N`.
+    #[inline]
+    fn mul_assign(&self, a: &mut [u64], b: &[u64]) {
+        let a: &mut [u64; N] = a.try_into().expect("operand width");
+        let b: &[u64; N] = b.try_into().expect("operand width");
+        *a = self.mul(a, b);
+    }
+
+    /// `a ← a²/R mod m` over a word slice of width `N`.
+    #[inline]
+    fn square_assign(&self, a: &mut [u64]) {
+        let a: &mut [u64; N] = a.try_into().expect("operand width");
+        *a = self.mul(a, a);
+    }
+}
+
+/// The [`Kernel`] monomorphizations a [`MontCtx`] can hold.
+#[derive(Clone, Debug)]
+enum Width {
+    L1(Kernel<1>),
+    L2(Kernel<2>),
+    L4(Kernel<4>),
+    L16(Kernel<16>),
+}
+
+/// Runs `$body` with `$k` bound to the context's kernel, whatever its
+/// width.
+macro_rules! with_kernel {
+    ($width:expr, $k:ident => $body:expr) => {
+        match $width {
+            Width::L1($k) => $body,
+            Width::L2($k) => $body,
+            Width::L4($k) => $body,
+            Width::L16($k) => $body,
+        }
+    };
+}
+
 /// A Montgomery reduction context for an odd runtime modulus.
 #[derive(Clone, Debug)]
 pub struct MontCtx {
-    modulus: Vec<u64>,
-    /// `−m⁻¹ mod 2⁶⁴`.
-    inv: u64,
+    kernel: Width,
     /// `R mod m` where `R = 2^(64·n)`.
     r: Vec<u64>,
     /// `R² mod m`.
@@ -84,7 +151,8 @@ impl MontCtx {
     ///
     /// # Panics
     ///
-    /// Panics if the modulus is even, zero, or has a zero top word.
+    /// Panics if the modulus is even, zero, has a zero top word, or is
+    /// not 1, 2, 4 or 16 words wide.
     pub fn new(modulus: Vec<u64>) -> Self {
         assert!(!modulus.is_empty(), "modulus must be non-empty");
         assert!(modulus[0] & 1 == 1, "modulus must be odd");
@@ -117,22 +185,30 @@ impl MontCtx {
             acc = doubled;
         }
         let r2 = acc;
-        MontCtx {
-            modulus,
-            inv,
-            r,
-            r2,
+        fn kernel<const N: usize>(modulus: &[u64], inv: u64) -> Kernel<N> {
+            Kernel {
+                modulus: modulus.try_into().expect("width checked"),
+                inv,
+            }
         }
+        let kernel = match n {
+            1 => Width::L1(kernel(&modulus, inv)),
+            2 => Width::L2(kernel(&modulus, inv)),
+            4 => Width::L4(kernel(&modulus, inv)),
+            16 => Width::L16(kernel(&modulus, inv)),
+            _ => panic!("unsupported modulus width: {n} words (1, 2, 4 or 16)"),
+        };
+        MontCtx { kernel, r, r2 }
     }
 
     /// Word width of this context.
     pub fn width(&self) -> usize {
-        self.modulus.len()
+        self.r.len()
     }
 
     /// The modulus words.
     pub fn modulus(&self) -> &[u64] {
-        &self.modulus
+        with_kernel!(&self.kernel, k => &k.modulus[..])
     }
 
     /// Montgomery form of 1 (i.e. `R mod m`).
@@ -142,7 +218,7 @@ impl MontCtx {
 
     /// Converts a canonical value (`< m`) into Montgomery form.
     pub fn to_mont(&self, a: &[u64]) -> Vec<u64> {
-        debug_assert!(!geq(a, &self.modulus), "value must be reduced");
+        debug_assert!(!geq(a, self.modulus()), "value must be reduced");
         self.mont_mul(a, &self.r2)
     }
 
@@ -153,117 +229,41 @@ impl MontCtx {
         self.mont_mul(a, &one)
     }
 
-    /// Montgomery multiplication (CIOS): `a·b/R mod m`.
-    pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let n = self.width();
-        debug_assert_eq!(a.len(), n);
-        debug_assert_eq!(b.len(), n);
-        let m = &self.modulus;
-        let mut t = vec![0u64; n];
-        let mut t_n: u64 = 0;
-        for &bi in b.iter() {
-            let mut carry = 0;
-            for j in 0..n {
-                let (lo, c) = mac(t[j], a[j], bi, carry);
-                t[j] = lo;
-                carry = c;
-            }
-            let (lo, overflow) = adc(t_n, carry, 0);
-            t_n = lo;
-            let t_n1 = overflow;
-
-            let k = t[0].wrapping_mul(self.inv);
-            let (_, mut carry) = mac(t[0], k, m[0], 0);
-            for j in 1..n {
-                let (lo, c) = mac(t[j], k, m[j], carry);
-                t[j - 1] = lo;
-                carry = c;
-            }
-            let (lo, c) = adc(t_n, carry, 0);
-            t[n - 1] = lo;
-            t_n = t_n1 + c;
-        }
-        if t_n == 1 || geq(&t, m) {
-            sub_assign(&mut t, m);
-        }
-        t
+    /// In-place Montgomery multiplication: `a ← a·b/R mod m`. Both
+    /// operands are reduced words at the context's width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is not [`Self::width`] words long.
+    pub fn mul_assign(&self, a: &mut [u64], b: &[u64]) {
+        with_kernel!(&self.kernel, k => k.mul_assign(a, b))
     }
 
-    /// Montgomery squaring (SOS): `a²/R mod m`, exploiting the symmetric
-    /// cross terms of the schoolbook product — each `aᵢ·aⱼ` with `i < j`
-    /// is computed once and doubled, so the product phase costs
-    /// `n(n−1)/2 + n` word multiplications against `mont_mul`'s `n²`.
-    /// With the `n²`-word reduction phase shared, a squaring lands at
-    /// roughly ⅔–¾ the cost of a general multiplication — and squarings
-    /// dominate both [`Self::mont_pow`] and the window shifts of the
-    /// bucket MSM (`zaatar_crypto::group`), which is why they get their
-    /// own kernel.
-    pub fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
-        let n = self.width();
-        debug_assert_eq!(a.len(), n);
-        let m = &self.modulus;
-        // Product phase: t = a² over 2n words (one spare word absorbs
-        // the reduction phase's carries). Cross terms first…
-        let mut t = vec![0u64; 2 * n + 1];
-        for i in 0..n {
-            let mut carry = 0;
-            for j in (i + 1)..n {
-                let (lo, c) = mac(t[i + j], a[i], a[j], carry);
-                t[i + j] = lo;
-                carry = c;
-            }
-            t[i + n] = carry;
-        }
-        // …doubled (the cross sum is < a²/2, so the shift cannot carry
-        // out of word 2n−1)…
-        let mut carry = 0;
-        for word in t.iter_mut() {
-            let out = *word >> 63;
-            *word = (*word << 1) | carry;
-            carry = out;
-        }
-        debug_assert_eq!(carry, 0);
-        // …plus the diagonal squares aᵢ² at words (2i, 2i+1).
-        let mut carry = 0;
-        for i in 0..n {
-            let (lo, c) = mac(t[2 * i], a[i], a[i], carry);
-            t[2 * i] = lo;
-            let (lo, c) = adc(t[2 * i + 1], c, 0);
-            t[2 * i + 1] = lo;
-            carry = c;
-        }
-        debug_assert_eq!(carry, 0, "a² must fit in 2n words");
-        // Reduction phase: n rounds of t += k·m·2^(64i) zero the low
-        // half; the quotient lives in t[n..=2n].
-        for i in 0..n {
-            let k = t[i].wrapping_mul(self.inv);
-            let mut carry = 0;
-            for j in 0..n {
-                let (lo, c) = mac(t[i + j], k, m[j], carry);
-                t[i + j] = lo;
-                carry = c;
-            }
-            let mut idx = i + n;
-            while carry != 0 {
-                let (lo, c) = adc(t[idx], carry, 0);
-                t[idx] = lo;
-                carry = c;
-                idx += 1;
-            }
-        }
-        // Result = (a² + Σ kᵢ·m·2^(64i)) / 2^(64n) < 2m: one conditional
-        // subtraction settles it (t[2n] set means the value overflowed
-        // n words and is certainly ≥ m).
-        let mut out = t[n..2 * n].to_vec();
-        if t[2 * n] != 0 || geq(&out, m) {
-            sub_assign(&mut out, m);
-        }
+    /// In-place Montgomery squaring: `a ← a²/R mod m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not [`Self::width`] words long.
+    pub fn square_assign(&self, a: &mut [u64]) {
+        with_kernel!(&self.kernel, k => k.square_assign(a))
+    }
+
+    /// Montgomery multiplication: `a·b/R mod m`.
+    pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = a.to_vec();
+        self.mul_assign(&mut out, b);
         out
+    }
+
+    /// Montgomery squaring: `a²/R mod m`, the multiplication with both
+    /// operands equal.
+    pub fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
+        self.mont_mul(a, a)
     }
 
     /// Modular exponentiation with a multi-word exponent: returns
     /// `base^exp mod m` in Montgomery form, given `base` in Montgomery
-    /// form. The square-per-bit rides [`Self::mont_sqr`].
+    /// form (left-to-right square-and-multiply, in place).
     pub fn mont_pow(&self, base: &[u64], exp: &[u64]) -> Vec<u64> {
         let mut acc = self.one();
         let high = exp
@@ -277,9 +277,9 @@ impl MontCtx {
             None => return acc,
         };
         for i in (0..=high).rev() {
-            acc = self.mont_sqr(&acc);
+            self.square_assign(&mut acc);
             if (exp[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = self.mont_mul(&acc, base);
+                self.mul_assign(&mut acc, base);
             }
         }
         acc
@@ -439,5 +439,24 @@ mod tests {
     #[should_panic(expected = "odd")]
     fn even_modulus_rejected() {
         let _ = MontCtx::new(vec![4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported modulus width")]
+    fn unmonomorphized_width_rejected() {
+        let _ = MontCtx::new(vec![1, 0, 1]);
+    }
+
+    #[test]
+    fn in_place_ops_match_allocating_ops() {
+        let ctx = MontCtx::new(words(P, 2));
+        let a = ctx.to_mont(&words(0xfeed_f00d_0123_4567_89ab_cdefu128, 2));
+        let b = ctx.to_mont(&words(0x0bad_cafe_7654_3210u128, 2));
+        let mut x = a.clone();
+        ctx.mul_assign(&mut x, &b);
+        assert_eq!(x, ctx.mont_mul(&a, &b));
+        let mut y = a.clone();
+        ctx.square_assign(&mut y);
+        assert_eq!(y, ctx.mont_mul(&a, &a));
     }
 }

@@ -6,7 +6,7 @@
 use zaatar_crypto::mp::MontCtx;
 use zaatar_crypto::{ChaChaPrg, ElGamal, HasGroup, KeyPair};
 use zaatar_field::testutil::SplitMix64;
-use zaatar_field::{Field, PrimeField, F61};
+use zaatar_field::{Field, PrimeField, F128, F61};
 
 /// The Mersenne prime 2^127 − 1 gives an exact u128 reference.
 const P: u128 = (1 << 127) - 1;
@@ -240,6 +240,155 @@ fn mont_sqr_matches_mont_mul_self_across_widths() {
             assert_eq!(ctx.mont_sqr(a), ctx.mont_mul(a, a), "width={name}");
         }
     }
+}
+
+/// Schoolbook `a·b` over `2n` words.
+fn mul_wide(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = vec![0u64; a.len() + b.len()];
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (j, &bj) in b.iter().enumerate() {
+            let t = out[i + j] as u128 + ai as u128 * bj as u128 + carry;
+            out[i + j] = t as u64;
+            carry = t >> 64;
+        }
+        out[i + b.len()] = carry as u64;
+    }
+    out
+}
+
+/// `x mod m` by binary long division (one bit at a time, most
+/// significant first), independent of any Montgomery machinery.
+fn reduce(x: &[u64], m: &[u64]) -> Vec<u64> {
+    let n = m.len();
+    let mut r = vec![0u64; n + 1];
+    let mut wide_m = m.to_vec();
+    wide_m.push(0);
+    for bit in (0..64 * x.len()).rev() {
+        let mut carry = (x[bit / 64] >> (bit % 64)) & 1;
+        for w in r.iter_mut() {
+            let out = *w >> 63;
+            *w = (*w << 1) | carry;
+            carry = out;
+        }
+        if zaatar_crypto::mp::geq(&r, &wide_m) {
+            zaatar_crypto::mp::sub_assign(&mut r, &wide_m);
+        }
+    }
+    r.truncate(n);
+    r
+}
+
+/// The Montgomery kernel at every width it is built for (1, 2, 4 and 16
+/// limbs) against a schoolbook reference: `mont_mul(a, b)·R ≡ a·b
+/// (mod m)`, with the product reduced by long division. Operands cover
+/// 0, 1, m − 1, saturated words under the modulus' top word, and random
+/// residues, for a shipped modulus and a pseudorandom odd full-width
+/// one at each width.
+#[test]
+fn mont_kernel_matches_schoolbook_at_every_width() {
+    let mut gen = SplitMix64::new(0x5c00);
+    let mut random_odd = |n: usize| -> Vec<u64> {
+        let mut m: Vec<u64> = (0..n).map(|_| gen.next_u64()).collect();
+        m[0] |= 1;
+        m[n - 1] |= 1 << 63;
+        m
+    };
+    let moduli: Vec<Vec<u64>> = vec![
+        vec![1_000_003],
+        random_odd(1),
+        words(P),
+        random_odd(2),
+        F61::group().modulus_words(),
+        random_odd(4),
+        F128::group().modulus_words(),
+        random_odd(16),
+    ];
+    let mut gen = SplitMix64::new(0x5c01);
+    for m in &moduli {
+        let ctx = MontCtx::new(m.clone());
+        let n = m.len();
+        let mut one = vec![0u64; n];
+        one[0] = 1;
+        let mut m_minus_1 = m.clone();
+        m_minus_1[0] -= 1;
+        let mut saturated = vec![u64::MAX; n];
+        saturated[n - 1] = m[n - 1] - 1;
+        let mut cases = vec![vec![0u64; n], one, m_minus_1, saturated];
+        for _ in 0..12 {
+            let mut a: Vec<u64> = (0..n).map(|_| gen.next_u64()).collect();
+            a[n - 1] %= m[n - 1];
+            cases.push(a);
+        }
+        // R·x mod m: the Montgomery product times R, on the reference side.
+        let times_r = |x: &[u64]| {
+            let mut shifted = vec![0u64; n];
+            shifted.extend_from_slice(x);
+            reduce(&shifted, m)
+        };
+        for a in &cases {
+            for b in &cases {
+                let got = ctx.mont_mul(a, b);
+                assert!(!zaatar_crypto::mp::geq(&got, m), "unreduced output, width {n}");
+                assert_eq!(times_r(&got), reduce(&mul_wide(a, b), m), "width {n}");
+                let mut in_place = a.clone();
+                ctx.mul_assign(&mut in_place, b);
+                assert_eq!(in_place, got, "in-place product, width {n}");
+            }
+            let mut sq = a.clone();
+            ctx.square_assign(&mut sq);
+            assert_eq!(sq, ctx.mont_mul(a, a), "square, width {n}");
+        }
+    }
+}
+
+/// The one-pass MSM behind the commitment, over the paper's 1024-bit
+/// group (F128-paired), agrees with the per-element reference inner
+/// product `ElGamal::inner_product_naive` on real ciphertexts at the
+/// window-boundary lengths and an LCS-sized oracle, with zero, one and
+/// maximal (`q − 1`) field scalars mixed in; and the group-level MSM
+/// agrees with plain exponentiation on all-ones-word exponents (above
+/// the subgroup order).
+#[test]
+fn one_pass_msm_matches_naive_inner_product_over_f128() {
+    let mut gen = SplitMix64::new(0xf128);
+    let mut prg = ChaChaPrg::from_u64_seed(gen.next_u64());
+    let kp = KeyPair::<F128>::generate(&mut prg);
+    let r: Vec<F128> = gen.field_vec(2039);
+    let cts = ElGamal::<F128>::encrypt_vec(kp.public(), &r, &mut prg);
+    for &n in &[1usize, 2, 16, 17, 255, 256, 257, 2039] {
+        let mut u: Vec<F128> = gen.field_vec(n);
+        for (i, s) in u.iter_mut().enumerate() {
+            match i % 7 {
+                0 => *s = F128::ZERO,
+                1 => *s = F128::ONE,
+                2 => *s = -F128::ONE,
+                _ => {}
+            }
+        }
+        assert_eq!(
+            ElGamal::<F128>::inner_product(&cts[..n], &u),
+            ElGamal::<F128>::inner_product_naive(&cts[..n], &u),
+            "n={n}"
+        );
+    }
+    // Every scalar zero, and every scalar one.
+    for fill in [F128::ZERO, F128::ONE] {
+        let u = vec![fill; 17];
+        assert_eq!(
+            ElGamal::<F128>::inner_product(&cts[..17], &u),
+            ElGamal::<F128>::inner_product_naive(&cts[..17], &u)
+        );
+    }
+    let g = F128::group();
+    let bases: Vec<zaatar_crypto::GroupElem> = cts[..17].iter().map(|ct| ct.c2.clone()).collect();
+    let ones = [u64::MAX, u64::MAX];
+    let scalars = vec![&ones[..]; bases.len()];
+    let mut expect = g.identity();
+    for b in &bases {
+        expect = g.mul(&expect, &g.pow(b, &ones));
+    }
+    assert_eq!(g.msm(&bases, &scalars), expect);
 }
 
 /// The bucket MSM agrees with the per-element reference inner product

@@ -77,7 +77,8 @@ fn main() {
     let mut prg = ChaChaPrg::from_u64_seed(99);
     let key = CommitmentKey::<F128>::generate(honest.z.len(), &mut prg);
     let commitment =
-        CommitmentKey::<F128>::commit(&key.enc_r, &honest.z, &mut ProverWorkspace::new());
+        CommitmentKey::<F128>::commit(&key.enc_r, &honest.z, &mut ProverWorkspace::new())
+            .expect("an unbudgeted workspace admits every lease");
     let queries: Vec<Vec<F128>> = (0..4).map(|_| prg.field_vec(honest.z.len())).collect();
     let qrefs: Vec<&[F128]> = queries.iter().map(|q| q.as_slice()).collect();
     let (t, alphas) = key.consistency_query(&qrefs, &mut prg);

@@ -92,8 +92,10 @@ fn run_batch(fx: &Fixture, slots: &[Slot], seed: u64, batched: bool) -> Vec<bool
         .iter()
         .map(|s| {
             (
-                CommitmentKey::<F61>::commit(&enc_z, &s.committed.z, &mut ProverWorkspace::new()),
-                CommitmentKey::<F61>::commit(&enc_h, &s.committed.h, &mut ProverWorkspace::new()),
+                CommitmentKey::<F61>::commit(&enc_z, &s.committed.z, &mut ProverWorkspace::new())
+                    .unwrap(),
+                CommitmentKey::<F61>::commit(&enc_h, &s.committed.h, &mut ProverWorkspace::new())
+                    .unwrap(),
             )
         })
         .collect();

@@ -15,11 +15,17 @@
 //! - the full framed transcript (both directions, retransmissions
 //!   folded) of a SETUP and an HSETUP session through the blocking
 //!   prover loop, and through the poll-loop `SessionServer`.
+//!
+//! and, in the paper's configuration (F128 with its 1024-bit group, so
+//! the 16-limb Montgomery kernel and the commitment MSM at that width
+//! are under the pin), a β = 2 SETUP session over a 4-step chain,
+//! proved and served at one covering chunk and at a ragged 5.
 
 use std::time::{Duration, Instant};
 
-use zaatar::cc::Builder;
-use zaatar::core::pcp::ZaatarProof;
+use zaatar::cc::{ginger_to_quad, Builder};
+use zaatar::core::pcp::{PcpParams, ZaatarPcp, ZaatarProof};
+use zaatar::core::qap::{Qap, QapWitness};
 use zaatar::core::runtime::{
     prove_batch_with_policy, run_hetero_session_prover, run_hetero_session_verifier,
     run_session_prover, run_session_verifier,
@@ -31,8 +37,9 @@ use zaatar::core::testutil::{circuit_fixture, mul_eq_fixture, CircuitFixture};
 use zaatar::core::wire::encode_proof;
 use zaatar::core::workspace::ProverWorkspace;
 use zaatar::crypto::ChaChaPrg;
-use zaatar::field::{Field, F61};
+use zaatar::field::{Field, F128, F61};
 use zaatar::mem::MemBudget;
+use zaatar::poly::Radix2Domain;
 use zaatar::sched::ExecPolicy;
 use zaatar::server::{ServerConfig, SessionServer};
 use zaatar::transport::{
@@ -49,6 +56,8 @@ const HSETUP_MESSAGES: u32 = 0xf8f1_e821;
 const SETUP_FRAMES: u32 = 0x45c9_577d;
 /// Digest of the framed HSETUP session, blocking loop or server.
 const HSETUP_FRAMES: u32 = 0x6741_e9b7;
+/// Digest of the F128 SETUP session's messages, at every chunk length.
+const F128_SETUP_MESSAGES: u32 = 0x6d0f_b587;
 
 const SEED: u64 = 0x7e57_a11c;
 
@@ -72,6 +81,41 @@ fn chain_fixture(chain: usize, batch: usize) -> CircuitFixture {
         .map(|i| vec![F61::from_i64(2 + i), F61::from_i64(3 + 2 * i)])
         .collect();
     circuit_fixture(&sys, &solver, &inputs)
+}
+
+/// The F128 chain circuit's PCP, its witnesses and its claimed io, for
+/// `batch` instances.
+struct WideFixture {
+    pcp: ZaatarPcp<F128, Radix2Domain<F128>>,
+    witnesses: Vec<QapWitness<F128>>,
+    ios: Vec<Vec<F128>>,
+}
+
+/// [`chain_fixture`]'s circuit over F128, `chain` steps deep.
+fn wide_chain_fixture(chain: usize, batch: usize) -> WideFixture {
+    let mut b = Builder::<F128>::new();
+    let x = b.alloc_input();
+    let y = b.alloc_input();
+    let mut acc = b.mul(&x, &y);
+    for _ in 0..chain {
+        acc = b.mul(&acc, &x);
+        let s = acc.add(&y);
+        acc = b.mul(&s, &y);
+    }
+    b.bind_output(&acc);
+    let (sys, solver) = b.finish();
+    let t = ginger_to_quad(&sys);
+    let pcp = ZaatarPcp::new(Qap::new(&t.system), PcpParams::light());
+    let mut witnesses = Vec::new();
+    let mut ios = Vec::new();
+    for i in 0..batch as i64 {
+        let inputs = [F128::from_i64(5 + i), F128::from_i64(7 + 3 * i)];
+        let ext = t.extend_assignment(&solver.solve(&inputs).expect("chain inputs solve"));
+        let vars = pcp.qap().var_map();
+        ios.push(vars.inputs().iter().chain(vars.outputs()).map(|v| ext.get(*v)).collect());
+        witnesses.push(pcp.qap().witness(&ext));
+    }
+    WideFixture { pcp, witnesses, ios }
 }
 
 /// Records every distinct frame a transport sends or receives, keyed by
@@ -192,6 +236,32 @@ fn interleave(per_circuit: [Instances<'_>; 2]) -> (Vec<ZaatarProof<F61>>, Vec<Ve
     (proofs, ios)
 }
 
+/// The F128 SETUP session's setup message and instance responses,
+/// proved and served at `chunk_len`.
+fn wide_setup_digest(fx: &WideFixture, chunk_len: usize) -> u32 {
+    let policy = ExecPolicy::streamed(chunk_len);
+    let proofs: Vec<ZaatarProof<F128>> =
+        prove_batch_with_policy(&fx.pcp, &fx.witnesses, &policy, MemBudget::unlimited())
+            .expect("unlimited budget")
+            .into_iter()
+            .map(|p| p.expect("satisfying witness"))
+            .collect();
+    let mut prg = ChaChaPrg::from_u64_seed(SEED);
+    let mut verifier = SessionVerifier::new(&fx.pcp, &mut prg);
+    let mut prover = SessionProver::new(&fx.pcp);
+    let setup = verifier.setup_message().unwrap();
+    prover.receive_setup(&setup).unwrap();
+    let mut ws = ProverWorkspace::new().with_policy(policy);
+    let mut bytes = Vec::new();
+    push_message(&mut bytes, &setup);
+    for (proof, io) in proofs.iter().zip(&fx.ios) {
+        let msg = prover.instance_message(proof, &mut ws).unwrap();
+        assert!(verifier.verify_instance(&msg, io).unwrap());
+        push_message(&mut bytes, &msg);
+    }
+    crc32(&bytes)
+}
+
 #[test]
 fn proofs_match_pinned_digest_at_one_and_two_workers() {
     let fx = chain_fixture(12, 4);
@@ -217,6 +287,20 @@ fn session_messages_match_pinned_digests_at_every_chunk_length() {
             hetero_digest(&fx, &eq, chunk_len),
             HSETUP_MESSAGES,
             "HSETUP chunk_len={chunk_len}"
+        );
+    }
+}
+
+#[test]
+fn f128_session_messages_match_pinned_digest_at_covering_and_ragged_chunks() {
+    let fx = wide_chain_fixture(4, 2);
+    let n = fx.pcp.qap().degree() + 1;
+    assert_eq!(n, 33, "fixture geometry moved; the digest no longer applies");
+    for chunk_len in [n, 5] {
+        assert_eq!(
+            wide_setup_digest(&fx, chunk_len),
+            F128_SETUP_MESSAGES,
+            "F128 SETUP chunk_len={chunk_len}"
         );
     }
 }

@@ -74,15 +74,19 @@ echo "==> server soak (concurrent fault matrix slice, release)"
 ZAATAR_SOAK_SCENARIOS=96 cargo test -q -p zaatar --test fault_matrix_concurrent \
     --locked --release
 
-# MSM differential smoke: the Pippenger commitment engine and the
-# Montgomery squaring specialization must agree with their references
-# under the release profile (debug_asserts out, carry paths optimized)
-# — these run in step 3 too, but a failure here names the commitment
+# MSM differential smoke: the fixed-width Montgomery kernel (at every
+# width it is built for, against a schoolbook reference), its squaring,
+# and the one-pass Pippenger commitment engine (over the 256-bit and
+# the paper's 1024-bit group) must agree with their references under
+# the release profile (debug_asserts out, carry paths optimized) —
+# these run in step 3 too, but a failure here names the commitment
 # engine directly.
 echo "==> msm differential smoke (crypto proptests, release)"
-run_filtered 3 cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
+run_filtered 5 cargo test -q -p zaatar-crypto --test proptests --locked --release -- \
+    mont_kernel_matches_schoolbook_at_every_width \
     mont_sqr_matches_mont_mul_self_across_widths \
     msm_matches_reference_across_widths_and_lengths \
+    one_pass_msm_matches_naive_inner_product_over_f128 \
     elgamal_inner_product_matches_naive
 
 # Compiler smoke: every workload in the zoo (five suite apps + three
